@@ -311,21 +311,19 @@ bool WriteJson(const std::string& path, const std::string& dataset,
       out,
       "  \"sweep_sharing\": {\"distinct_sources\": %zu, "
       "\"sweep_executed\": %llu, \"sweep_hits\": %llu, "
-      "\"sweep_coalesced\": %llu, \"prebuilt_used\": %llu},\n",
+      "\"sweep_coalesced\": %llu},\n",
       sweep_distinct_sources,
       static_cast<unsigned long long>(sweep_snapshot.sweep_executed),
       static_cast<unsigned long long>(sweep_snapshot.sweep_hits),
-      static_cast<unsigned long long>(sweep_snapshot.sweep_coalesced),
-      static_cast<unsigned long long>(sweep_snapshot.prebuilt_used));
+      static_cast<unsigned long long>(sweep_snapshot.sweep_coalesced));
   std::fprintf(
       out,
       "  \"stratified\": {\"strata_executed\": %llu, \"strata_stolen\": %llu, "
-      "\"scout_warms\": %llu, \"sweep_p50_ms\": %.4f, \"sweep_p95_ms\": %.4f, "
+      "\"sweep_p50_ms\": %.4f, \"sweep_p95_ms\": %.4f, "
       "\"hot_sweep_wall_1thread_s\": %.6f, \"hot_sweep_wall_8threads_s\": "
       "%.6f, \"hot_sweep_speedup\": %.3f},\n",
       static_cast<unsigned long long>(strata_snapshot.strata_executed),
       static_cast<unsigned long long>(strata_snapshot.strata_stolen),
-      static_cast<unsigned long long>(strata_snapshot.scout_warms),
       strata_snapshot.sweep_p50_ms, strata_snapshot.sweep_p95_ms,
       strata_wall_1thread, strata_wall_8threads,
       strata_wall_8threads > 0.0 ? strata_wall_1thread / strata_wall_8threads
@@ -338,7 +336,7 @@ bool WriteJson(const std::string& path, const std::string& dataset,
         "    {\"config\": \"%s\", \"queries\": %llu, \"executed\": %llu, "
         "\"coalesced\": %llu, \"sweep_executed\": %llu, \"sweep_hits\": %llu, "
         "\"sweep_coalesced\": %llu, \"strata_executed\": %llu, "
-        "\"strata_stolen\": %llu, \"scout_warms\": %llu, "
+        "\"strata_stolen\": %llu, "
         "\"sweep_p50_ms\": %.4f, \"sweep_p95_ms\": %.4f, "
         "\"qps\": %.1f, \"span_qps\": %.1f, "
         "\"mean_ms\": %.4f, \"p50_ms\": %.4f, \"p90_ms\": %.4f, "
@@ -352,8 +350,7 @@ bool WriteJson(const std::string& path, const std::string& dataset,
         static_cast<unsigned long long>(s.sweep_coalesced),
         static_cast<unsigned long long>(s.strata_executed),
         static_cast<unsigned long long>(s.strata_stolen),
-        static_cast<unsigned long long>(s.scout_warms), s.sweep_p50_ms,
-        s.sweep_p95_ms, s.throughput_qps,
+        s.sweep_p50_ms, s.sweep_p95_ms, s.throughput_qps,
         s.span_qps, s.mean_ms, s.p50_ms, s.p90_ms, s.p99_ms, s.max_ms,
         s.cache.hit_rate(), i + 1 < rows.size() ? "," : "");
   }
@@ -695,10 +692,6 @@ int main(int argc, char** argv) {
         options.num_samples = strata_samples;
         options.num_strata = strata;
         options.enable_cache = false;
-        // Query-driven for this gate: the 16 waiters themselves must steal
-        // (scout warm-ahead is exercised — and gated — by the sweep-sharing
-        // mix above).
-        options.enable_sweep_scout = false;
         auto engine = bench::Unwrap(QueryEngine::Create(dataset.graph, options),
                                     "QueryEngine::Create(strata)");
         Timer wall;

@@ -5,7 +5,7 @@
 // Every binary prints the experiment id, the paper's reported shape, and the
 // measured table, honoring the RELCOMP_* environment knobs (see
 // BenchConfig). Exact magnitudes differ from the paper (synthetic analogue
-// datasets, laptop scale); EXPERIMENTS.md records the shape comparison.
+// datasets, laptop scale); compare shapes, not values.
 
 #include <cstdio>
 #include <string>

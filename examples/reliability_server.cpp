@@ -25,8 +25,7 @@
 //   dataset  : lastfm | nethept | astopo | dblp02 | dblp005 | biomine
 //   threads  : worker threads (default 4)
 //   requests : total stream length (default 2000)
-//   kind     : mc | bfs (default mc; bfs also exercises the background
-//              generation prebuilder)
+//   kind     : mc | bfs (default mc)
 //   strata   : stratified-partition width S of every sweep (default 8).
 //              Deliberately NOT tied to the thread count: results are a
 //              canonical function of (query content, S), so the same S at
@@ -240,16 +239,10 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "engine up: %s estimator, %zu workers, S=%u strata per sweep, cache "
-      "%zu entries / %zu MB, sweep cache %zu MB, scout %s, prebuilder %s, "
-      "K=%u\n\n",
+      "%zu entries / %zu MB, sweep cache %zu MB, K=%u\n\n",
       EstimatorKindName(kind), engine->num_threads(), options.num_strata,
       options.cache_capacity, options.cache_max_bytes >> 20,
-      options.sweep_cache_max_bytes >> 20,
-      options.enable_sweep_scout ? "on" : "off",
-      engine->prebuilder() != nullptr
-          ? StrFormat("on (%zu builders)", options.prebuild_threads).c_str()
-          : "off (kind has no prepared generations)",
-      options.num_samples);
+      options.sweep_cache_max_bytes >> 20, options.num_samples);
 
   // Replay: popularity ~ 1/rank over the catalogue, like repeated users
   // asking about the same few queries.
@@ -366,10 +359,9 @@ int main(int argc, char** argv) {
       snapshot.sweep_cache.entries, snapshot.sweep_cache.bytes_in_use >> 10);
   std::printf(
       "stratified sweeps: %llu strata executed (%llu stolen by coalesced "
-      "waiters), %llu scout warms, per-sweep p50/p95 %.2f/%.2f ms\n",
+      "waiters), per-sweep p50/p95 %.2f/%.2f ms\n",
       static_cast<unsigned long long>(snapshot.strata_executed),
       static_cast<unsigned long long>(snapshot.strata_stolen),
-      static_cast<unsigned long long>(snapshot.scout_warms),
       snapshot.sweep_p50_ms, snapshot.sweep_p95_ms);
   std::printf(
       "fault tolerance: %llu shed at admission, %llu client retries, %llu "
@@ -379,16 +371,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(dropped_counter->Value()),
       static_cast<unsigned long long>(snapshot.deadline_exceeded),
       static_cast<unsigned long long>(snapshot.stale_served));
-  if (engine->prebuilder() != nullptr) {
-    std::printf(
-        "generation prebuild: %llu requested, %llu built on %zu background "
-        "builders, %llu adopted by workers (%zu KB ready pool)\n",
-        static_cast<unsigned long long>(snapshot.prebuilder.requested),
-        static_cast<unsigned long long>(snapshot.prebuilder.built),
-        snapshot.prebuilder.builders,
-        static_cast<unsigned long long>(snapshot.prebuilt_used),
-        snapshot.prebuilder.ready_bytes >> 10);
-  }
 
   // Span trees of the slowest requests (only when --slow-query-ms armed the
   // tracer).

@@ -25,7 +25,7 @@ enum class FaultSite : uint32_t {
   /// next miss recomputes the identical answer.
   kAllocFailure,
   /// ThreadPool::TrySubmit reports a full queue. Hits best-effort work
-  /// (scout warms, background refreshes) and the load-shedding admission
+  /// (background refreshes, journal flushes) and the load-shedding admission
   /// path; blocking Submit is never injected (it has no rejection surface).
   kPoolReject,
   /// \name File-I/O sites (the persistence tier's crash matrix)

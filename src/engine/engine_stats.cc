@@ -45,8 +45,6 @@ EngineStats::EngineStats(obs::MetricsRegistry* registry) {
   sweep_coalesced_ = registry_->GetCounter("engine_sweep_coalesced_total");
   strata_executed_ = registry_->GetCounter("engine_strata_executed_total");
   strata_stolen_ = registry_->GetCounter("engine_strata_stolen_total");
-  scout_warms_ = registry_->GetCounter("engine_scout_warms_total");
-  prebuilt_used_ = registry_->GetCounter("engine_prebuilt_used_total");
   wall_seconds_ = registry_->GetGauge("engine_wall_seconds");
   span_seconds_ = registry_->GetGauge("engine_span_seconds");
   peak_memory_bytes_ = registry_->GetGauge("engine_peak_memory_bytes");
@@ -93,13 +91,9 @@ void EngineStats::RecordStratum(bool stolen) {
   if (stolen) strata_stolen_->Inc();
 }
 
-void EngineStats::RecordScoutWarm() { scout_warms_->Inc(); }
-
 void EngineStats::RecordSweepLatency(double seconds) {
   sweep_latency_ns_->RecordSeconds(seconds);
 }
-
-void EngineStats::RecordPrebuiltUsed() { prebuilt_used_->Inc(); }
 
 void EngineStats::RecordWorkload(WorkloadKind kind) {
   workload_queries_[static_cast<size_t>(kind)]->Inc();
@@ -161,8 +155,6 @@ EngineStatsSnapshot EngineStats::Snapshot(const ResultCache* cache,
   snapshot.sweep_coalesced = sweep_coalesced_->Value();
   snapshot.strata_executed = strata_executed_->Value();
   snapshot.strata_stolen = strata_stolen_->Value();
-  snapshot.scout_warms = scout_warms_->Value();
-  snapshot.prebuilt_used = prebuilt_used_->Value();
   snapshot.wall_seconds = wall_seconds_->Value();
   snapshot.peak_memory_bytes =
       static_cast<size_t>(peak_memory_bytes_->Value());
@@ -211,8 +203,6 @@ void EngineStats::Reset() {
   sweep_coalesced_->Reset();
   strata_executed_->Reset();
   strata_stolen_->Reset();
-  scout_warms_->Reset();
-  prebuilt_used_->Reset();
   wall_seconds_->Reset();
   span_seconds_->Reset();
   peak_memory_bytes_->Reset();
@@ -223,7 +213,7 @@ void EngineStats::Reset() {
 TextTable EngineStatsTable(
     const std::vector<std::pair<std::string, EngineStatsSnapshot>>& rows) {
   TextTable table({"config", "queries", "st/k/set/d", "exec", "coal",
-                   "swp x/h/c", "strata x/s", "scout", "swp p50/p95", "pre",
+                   "swp x/h/c", "strata x/s", "swp p50/p95",
                    "wall s", "span s", "qps", "mean ms", "p50 ms", "p90 ms",
                    "p99 ms", "max ms", "hit rate", "peak mem", "index mem"});
   for (const auto& [label, s] : rows) {
@@ -246,9 +236,7 @@ TextTable EngineStatsTable(
          StrFormat("%llu/%llu",
                    static_cast<unsigned long long>(s.strata_executed),
                    static_cast<unsigned long long>(s.strata_stolen)),
-         StrFormat("%llu", static_cast<unsigned long long>(s.scout_warms)),
          StrFormat("%.2f/%.2f", s.sweep_p50_ms, s.sweep_p95_ms),
-         StrFormat("%llu", static_cast<unsigned long long>(s.prebuilt_used)),
          StrFormat("%.3f", s.wall_seconds), StrFormat("%.3f", s.span_seconds),
          StrFormat("%.1f", s.throughput_qps), StrFormat("%.3f", s.mean_ms),
          StrFormat("%.3f", s.p50_ms), StrFormat("%.3f", s.p90_ms),

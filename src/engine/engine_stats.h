@@ -8,7 +8,6 @@
 
 #include "common/fault_injection.h"
 #include "common/memory_tracker.h"
-#include "engine/generation_prebuilder.h"
 #include "engine/result_cache.h"
 #include "engine/sweep_cache.h"
 #include "eval/table.h"
@@ -47,11 +46,8 @@ struct EngineStatsSnapshot {
   /// Queries that missed their deadline or were cancelled (these DO count:
   /// they are a subset of `failures`).
   uint64_t deadline_exceeded = 0;
-  /// Queries answered from a TTL-expired cache entry inside the stale
-  /// window. Orthogonal to the outcome partition: a stale result-cache hit
-  /// counts in cache hits, a query *derived* from a stale sweep counts in
-  /// executed / coalesced. The per-cache split is in `cache` /
-  /// `sweep_cache` stale_served.
+  /// Queries answered from a TTL-expired result-cache entry inside the
+  /// stale window (a subset of the cache hits).
   uint64_t stale_served = 0;
   /// Faults injected by the active FaultInjector plan (all sites summed;
   /// zero in production where the injector is disabled).
@@ -75,10 +71,7 @@ struct EngineStatsSnapshot {
   /// Queries that waited on another worker's in-flight sweep of the same
   /// source and derived from its vector (sweep-level single-flight) —
   /// including waiters that *stole strata* of the leader's sweep instead of
-  /// blocking (see strata_stolen). Scout warms skew the partition like
-  /// failures do: a scout-led sweep increments sweep_executed (and
-  /// scout_warms) without a query behind it, so the three counters sum to
-  /// compute-path sweep queries + scout_warms.
+  /// blocking (see strata_stolen).
   uint64_t sweep_coalesced = 0;
   /// @}
   /// \name Intra-sweep stratification (stratum scheduler)
@@ -90,16 +83,13 @@ struct EngineStatsSnapshot {
   /// waiters that stole unclaimed strata instead of blocking. > 0 means the
   /// single-flight wait turned into useful parallel work.
   uint64_t strata_stolen = 0;
-  /// Sweeps led by the warm-ahead scout pass (no query behind them; the
-  /// queries that follow resolve as sweep_hits / sweep_coalesced).
-  uint64_t scout_warms = 0;
   /// Per-sweep wall-clock latency quantiles (leader start to vector
   /// publish), over every executed sweep. Zeros when no sweep executed.
   double sweep_p50_ms = 0.0;
   double sweep_p95_ms = 0.0;
   /// @}
-  /// Queries whose PrepareForNextQuery artifact (BFS Sharing generation) was
-  /// adopted from the background prebuilder instead of resampled inline.
+  /// Always 0: every replica prepares its generation inline. Kept only so
+  /// the repository benchmark (perfbench/), which reads it, still compiles.
   uint64_t prebuilt_used = 0;
   /// \name Adaptive routing (zeros when enable_router is off)
   /// @{
@@ -134,9 +124,6 @@ struct EngineStatsSnapshot {
   ResultCacheStats cache;
   /// Sweep memoization effectiveness (zeros when the sweep cache is off).
   SweepCacheStats sweep_cache;
-  /// Background generation prebuilding (zeros when the prebuilder is off or
-  /// the estimator kind has no prepared-generation support).
-  GenerationPrebuilderStats prebuilder;
 };
 
 /// \brief Thread-safe recorder of per-query outcomes — a *view over the
@@ -193,16 +180,9 @@ class EngineStats {
   /// blocking).
   void RecordStratum(bool stolen);
 
-  /// Records one sweep led by the warm-ahead scout pass.
-  void RecordScoutWarm();
-
   /// Records one executed sweep's wall-clock (leader start to publish), the
   /// sample behind the per-sweep latency quantiles.
   void RecordSweepLatency(double seconds);
-
-  /// Records one query whose prepare artifact came from the background
-  /// prebuilder.
-  void RecordPrebuiltUsed();
 
   /// Counts one query against its workload kind (called once per query, on
   /// top of exactly one of the Record* outcomes above).
@@ -250,8 +230,6 @@ class EngineStats {
   obs::Counter* sweep_coalesced_;
   obs::Counter* strata_executed_;
   obs::Counter* strata_stolen_;
-  obs::Counter* scout_warms_;
-  obs::Counter* prebuilt_used_;
   obs::Gauge* wall_seconds_;
   obs::Gauge* span_seconds_;
   obs::Gauge* peak_memory_bytes_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -87,22 +88,30 @@ std::string EncodeSweepRecord(const SweepCacheExport& entry) {
   writer.PutU32(entry.key.source);
   writer.PutU32(entry.key.num_samples);
   writer.PutU64(entry.key.seed);
-  writer.PutF64(entry.ttl_seconds);
+  // Sweep entries never expire. The TTL field stays in the record layout
+  // (written as 0) so journals from any version of the engine replay.
+  writer.PutF64(0.0);
   writer.PutU64(entry.sweep->size());
   for (const double v : *entry.sweep) writer.PutF64(v);
   return out;
 }
 
+/// A sweep record's TTL is read and validated but not applied: a restored
+/// sweep is immortal like every other sweep-cache entry. Older journals may
+/// carry a positive TTL; it only ever shortened an entry's life, and the
+/// payload is content-derived, so serving it longer changes no answer.
 bool DecodeSweepRecord(const std::string& payload, SweepCacheKey* key,
-                       std::vector<double>* sweep, double* ttl_seconds) {
+                       std::vector<double>* sweep) {
   WireReader reader(payload.data(), payload.size());
   uint8_t kind = 0;
   uint64_t n = 0;
+  double ttl_seconds = 0.0;
   if (!reader.ReadU8(&kind) || !reader.ReadU32(&key->source) ||
       !reader.ReadU32(&key->num_samples) || !reader.ReadU64(&key->seed) ||
-      !reader.ReadF64(ttl_seconds) || !reader.ReadU64(&n)) {
+      !reader.ReadF64(&ttl_seconds) || !reader.ReadU64(&n)) {
     return false;
   }
+  if (!std::isfinite(ttl_seconds) || ttl_seconds < 0.0) return false;
   key->kind = static_cast<EstimatorKind>(kind);
   if (n != reader.remaining() / sizeof(double) ||
       reader.remaining() % sizeof(double) != 0) {
@@ -200,6 +209,8 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "cache_probe");
   stage_prepare_ =
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "prepare");
+  stage_estimate_ =
+      registry_->GetHistogram("engine_stage_latency_ns", "stage", "estimate");
   stage_stratum_ =
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "stratum");
   stage_merge_ =
@@ -218,13 +229,6 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
   if (options_.enable_sweep_cache) {
     sweep_cache_ = std::make_unique<SweepCache>(options_.sweep_cache_max_bytes,
                                                 registry_.get());
-  }
-  if (options_.enable_generation_prebuild && !replicas_.empty() &&
-      replicas_.front()->SupportsPreparedGenerations()) {
-    prebuilder_ = std::make_unique<GenerationPrebuilder>(
-        *replicas_.front(), options_.prebuild_max_pending,
-        options_.prebuild_threads, options_.prebuild_max_bytes,
-        registry_.get());
   }
   // Serving pool: exactly num_threads workers. replicas_ may hold more —
   // the tail replicas belong to the auxiliary refresh lane below.
@@ -270,8 +274,6 @@ QueryEngine::~QueryEngine() {
   // final warm state (a crash instead simply loses what the last periodic
   // flush missed — never more).
   if (store_ != nullptr) (void)FlushWarmState();
-  // Join the builder thread before any replica (its build prototype) dies.
-  prebuilder_.reset();
 }
 
 Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
@@ -282,8 +284,7 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   if (opts.num_samples == 0) {
     return Status::InvalidArgument("EngineOptions::num_samples must be > 0");
   }
-  if (opts.cache_ttl < 0.0 || opts.negative_cache_ttl < 0.0 ||
-      opts.scout_warm_ttl < 0.0) {
+  if (opts.cache_ttl < 0.0 || opts.negative_cache_ttl < 0.0) {
     return Status::InvalidArgument("EngineOptions TTLs must be >= 0");
   }
   // The registry exists before anything else so the persistence tier's
@@ -454,9 +455,7 @@ void QueryEngine::RestoreWarmState() {
     if (record.type == kJournalRecordSweep && sweep_cache_ != nullptr) {
       SweepCacheKey key;
       auto sweep = std::make_shared<std::vector<double>>();
-      double ttl_seconds = 0.0;
-      if (!DecodeSweepRecord(record.payload, &key, sweep.get(),
-                             &ttl_seconds) ||
+      if (!DecodeSweepRecord(record.payload, &key, sweep.get()) ||
           key.source >= graph_.num_nodes() ||
           sweep->size() != graph_.num_nodes()) {
         ++warm_report_.skipped;
@@ -471,7 +470,7 @@ void QueryEngine::RestoreWarmState() {
         ++warm_report_.skipped;
         continue;
       }
-      sweep_cache_->Insert(key, std::move(sweep), ttl_seconds);
+      sweep_cache_->Insert(key, std::move(sweep));
       ++warm_report_.sweep_entries;
       ++recovered;
     } else if (record.type == kJournalRecordResult && cache_ != nullptr) {
@@ -664,7 +663,6 @@ EngineStatsSnapshot QueryEngine::StatsSnapshot() const {
   EngineStatsSnapshot snapshot =
       stats_.Snapshot(cache_.get(), sweep_cache_.get());
   snapshot.index_memory = IndexMemory();
-  if (prebuilder_ != nullptr) snapshot.prebuilder = prebuilder_->Stats();
   if (router_ != nullptr) {
     snapshot.router_decisions = router_->decisions();
     snapshot.router_fallbacks = router_->fallbacks();
@@ -673,10 +671,7 @@ EngineStatsSnapshot QueryEngine::StatsSnapshot() const {
 }
 
 IndexMemoryReport QueryEngine::IndexMemory() const {
-  IndexMemoryReport report = ReportIndexMemory(replicas_);
-  // Ready-but-unadopted prebuilt generations are index-sized residents too.
-  if (prebuilder_ != nullptr) report.prebuilt_bytes = prebuilder_->ReadyBytes();
-  return report;
+  return ReportIndexMemory(replicas_);
 }
 
 void QueryEngine::AwaitCall(CallState& state) {
@@ -862,48 +857,6 @@ void QueryEngine::FinishFlight(const ResultCacheKey& key,
   flight->done.notify_all();
 }
 
-void QueryEngine::RequestPrebuild(const EngineQuery& query) {
-  const QueryPlan plan = PlanFor(query);
-  // The prebuilder's build prototype is a static-kind replica: generations
-  // it resamples only fit static-kind plans. A query routed onto another
-  // backend will never adopt one, so don't build it.
-  if (plan.kind != options_.kind) return;
-  const uint64_t query_seed = SeedForPlan(query, plan);
-  // A query the caches will serve never prepares a replica — building its
-  // generation would be pure waste (and would strand index-sized memory in
-  // the builder's ready pool). That covers result-cache hits for any kind,
-  // and sweep-kind queries whose source's sweep is already memoized (they
-  // derive without touching an estimator, whatever their k / eta).
-  if (cache_ != nullptr &&
-      cache_->Contains(ResultCacheKey{query, plan.kind, plan.num_samples,
-                                      query_seed})) {
-    return;
-  }
-  if (sweep_cache_ != nullptr && IsSweepWorkload(query.workload) &&
-      sweep_cache_->Contains(SweepCacheKey{plan.kind, query.source,
-                                           plan.num_samples, query_seed})) {
-    return;
-  }
-  prebuilder_->Request(HashCombineSeed(query_seed, kPrepareSeedTag));
-}
-
-Status QueryEngine::PrepareReplica(Estimator& estimator,
-                                   uint64_t prepare_seed) {
-  if (prebuilder_ != nullptr && estimator.SupportsPreparedGenerations()) {
-    if (std::unique_ptr<PreparedGeneration> generation =
-            prebuilder_->Take(prepare_seed)) {
-      if (estimator.AdoptPreparedGeneration(std::move(generation)).ok()) {
-        stats_.RecordPrebuiltUsed();
-        return Status::OK();
-      }
-      // Adoption refused (shape mismatch — cannot happen for replicas of
-      // this engine): fall through to the inline path, which is
-      // bit-identical by the PreparedGeneration contract.
-    }
-  }
-  return estimator.PrepareForNextQuery(prepare_seed);
-}
-
 Result<QueryEngine::SweepShare> QueryEngine::ComputeSweepSerial(
     size_t worker_id, const EngineQuery& query, const QueryPlan& plan,
     uint64_t sweep_seed, const SweepCacheKey& key, const CancelToken* cancel,
@@ -924,8 +877,8 @@ Result<QueryEngine::SweepShare> QueryEngine::ComputeSweepSerial(
   }
   {
     StageTimer prepare(stage_prepare_, trace, obs::SpanKind::kPrepare, parent);
-    RELCOMP_RETURN_NOT_OK(PrepareReplica(
-        estimator, HashCombineSeed(sweep_seed, kPrepareSeedTag)));
+    RELCOMP_RETURN_NOT_OK(estimator.PrepareForNextQuery(
+        HashCombineSeed(sweep_seed, kPrepareSeedTag)));
   }
   EstimateOptions estimate_options;
   estimate_options.num_samples = plan.num_samples;
@@ -1001,14 +954,12 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
     }
     if (run.ok() && !prepared) {
       // H(sweep_seed, tag) == PrepareSeed(q) for every sweep-kind q over
-      // this source — the derivation RequestPrebuild also uses, so prebuilt
-      // generations match. Every participant ends up reading bit-identical
-      // worlds: the first preparer pays the full prepare (adopting a
-      // prebuilt generation when one is ready) and publishes a read-only
-      // snapshot; later thieves adopt that snapshot in O(1) instead of
-      // re-running the same O(L·m) resample per worker (estimators without
-      // shared prepared state — MC, whose prepare is a no-op — just
-      // prepare directly).
+      // this source. Every participant ends up reading bit-identical
+      // worlds: the first preparer pays the full prepare and publishes a
+      // read-only snapshot; later thieves adopt that snapshot in O(1)
+      // instead of re-running the same O(L·m) resample per worker
+      // (estimators without shared prepared state — MC, whose prepare is a
+      // no-op — just prepare directly).
       StageTimer prepare_stage(stage_prepare_, trace, obs::SpanKind::kPrepare,
                                parent);
       std::shared_ptr<const PreparedGeneration> shared_state;
@@ -1021,12 +972,12 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
         if (!run.ok()) {
           // Adoption refused (shape mismatch — cannot happen for replicas
           // of this engine): the inline prepare is bit-identical anyway.
-          run = PrepareReplica(estimator,
-                               HashCombineSeed(sweep_seed, kPrepareSeedTag));
+          run = estimator.PrepareForNextQuery(
+              HashCombineSeed(sweep_seed, kPrepareSeedTag));
         }
       } else {
-        run = PrepareReplica(estimator,
-                             HashCombineSeed(sweep_seed, kPrepareSeedTag));
+        run = estimator.PrepareForNextQuery(
+            HashCombineSeed(sweep_seed, kPrepareSeedTag));
         if (run.ok() && estimator.SupportsSharedPreparedState()) {
           Result<std::shared_ptr<const PreparedGeneration>> snapshot =
               estimator.ShareCurrentPreparedState();
@@ -1154,15 +1105,9 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
   if (finalize) {
     // Publish order: SweepCache first, then retire the flight entry, then
     // set ready and wake — a concurrent miss always finds the key in the
-    // cache or the flight table, never neither. A sweep only the scout ever
-    // touched publishes under the warm TTL (a Lookup hit promotes it to
-    // immortal if a query derives from it later); one query joining the
-    // flight already cleared the mark.
+    // cache or the flight table, never neither.
     if (status.ok() && sweep_cache_ != nullptr) {
-      const bool scout_only =
-          flight->scout_only.load(std::memory_order_relaxed);
-      sweep_cache_->Insert(key, vector,
-                           scout_only ? options_.scout_warm_ttl : 0.0);
+      sweep_cache_->Insert(key, vector);
     }
     {
       std::lock_guard<std::mutex> lock(sweep_inflight_mutex_);
@@ -1199,13 +1144,9 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
 
 std::shared_ptr<QueryEngine::SweepFlight> QueryEngine::JoinOrCreateSweepFlight(
     size_t worker_id, const QueryPlan& plan, const SweepCacheKey& key,
-    bool scout, bool* leader,
-    std::shared_ptr<const std::vector<double>>* cached, bool* stale,
-    bool* refresh_owner) {
+    bool* leader, std::shared_ptr<const std::vector<double>>* cached) {
   *leader = false;
   cached->reset();
-  if (stale != nullptr) *stale = false;
-  if (refresh_owner != nullptr) *refresh_owner = false;
   std::lock_guard<std::mutex> lock(sweep_inflight_mutex_);
   // Double-check under the flight lock (same protocol as the query-level
   // rendezvous): a sweep's finalizer publishes to the SweepCache *before*
@@ -1218,23 +1159,8 @@ std::shared_ptr<QueryEngine::SweepFlight> QueryEngine::JoinOrCreateSweepFlight(
   // coalescing without the result cache. Uncounted probe (callers decide
   // how to account it).
   if (sweep_cache_ != nullptr) {
-    if (options_.max_stale_seconds > 0.0) {
-      // Stale-while-revalidate double-check: a TTL-expired vector inside
-      // the stale window still serves queries — but a refresh pass (the
-      // scout ScheduleSweepRefresh dispatched) must NOT be satisfied by the
-      // very entry it came to replace, so a scout observing a stale hit
-      // falls through and leads the replacing flight.
-      StaleSweepLookup probe =
-          sweep_cache_->LookupStale(key, options_.max_stale_seconds,
-                                    /*record_stats=*/false);
-      if (probe.sweep != nullptr && !(scout && probe.stale)) {
-        *cached = std::move(probe.sweep);
-        if (stale != nullptr) *stale = probe.stale;
-        if (refresh_owner != nullptr) *refresh_owner = probe.refresh_owner;
-        return nullptr;
-      }
-    } else if (std::shared_ptr<const std::vector<double>> vector =
-                   sweep_cache_->Lookup(key, /*record_stats=*/false)) {
+    if (std::shared_ptr<const std::vector<double>> vector =
+            sweep_cache_->Lookup(key, /*record_stats=*/false)) {
       *cached = std::move(vector);
       return nullptr;
     }
@@ -1250,12 +1176,7 @@ std::shared_ptr<QueryEngine::SweepFlight> QueryEngine::JoinOrCreateSweepFlight(
     fresh.num_samples = plan.num_samples;
     fresh.whole_sweep = !stratified;
     fresh.stratum_hits.resize(fresh.num_strata);
-    fresh.scout_only.store(scout, std::memory_order_relaxed);
     fresh.timer.Restart();
-  } else if (!scout) {
-    // A real query joined a scout-led flight: its sweep is wanted, so the
-    // publish must be immortal.
-    it->second->scout_only.store(false, std::memory_order_relaxed);
   }
   return it->second;
 }
@@ -1266,26 +1187,17 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
     uint32_t parent) {
   const SweepCacheKey key{plan.kind, query.source, plan.num_samples,
                           sweep_seed};
-  // Fast path: memoized sweep (with the stale window open, a TTL-expired
-  // vector still serves; the first stale observer owns kicking off the
-  // background re-warm).
+  // Fast path: memoized sweep.
   if (sweep_cache_ != nullptr) {
-    StaleSweepLookup probe;
+    std::shared_ptr<const std::vector<double>> vector;
     {
       StageTimer probe_stage(stage_cache_probe_, trace,
                              obs::SpanKind::kCacheProbe, parent, /*detail=*/1);
-      if (options_.max_stale_seconds > 0.0) {
-        probe = sweep_cache_->LookupStale(key, options_.max_stale_seconds);
-      } else {
-        probe.sweep = sweep_cache_->Lookup(key);
-      }
+      vector = sweep_cache_->Lookup(key);
     }
-    if (probe.sweep != nullptr) {
+    if (vector != nullptr) {
       stats_.RecordSweepHit();
-      if (probe.refresh_owner) ScheduleSweepRefresh(key, query.source);
-      SweepShare share{std::move(probe.sweep), 0};
-      share.stale = probe.stale;
-      return share;
+      return SweepShare{std::move(vector), 0};
     }
   }
   if (!options_.enable_coalescing) {
@@ -1293,21 +1205,15 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
                               trace, parent);
   }
   bool leader = false;
-  bool stale = false;
-  bool refresh_owner = false;
   std::shared_ptr<const std::vector<double>> cached;
   std::shared_ptr<SweepFlight> flight =
-      JoinOrCreateSweepFlight(worker_id, plan, key, /*scout=*/false, &leader,
-                              &cached, &stale, &refresh_owner);
+      JoinOrCreateSweepFlight(worker_id, plan, key, &leader, &cached);
   if (flight == nullptr) {
     // The sweep finished between our fast-path miss and taking the flight
     // lock: this query shared its work (accounted as sweep_coalesced, not a
     // hit — the fast-path miss is already in the cache stats).
     stats_.RecordSweepCoalesced();
-    if (refresh_owner) ScheduleSweepRefresh(key, query.source);
-    SweepShare share{std::move(cached), 0};
-    share.stale = stale;
-    return share;
+    return SweepShare{std::move(cached), 0};
   }
   // One sweep_executed per sweep, recorded by its leader: the "<= 1
   // EstimateFromSource per distinct (source, generation)" gate currency.
@@ -1331,8 +1237,7 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
     status = flight->status;
     vector = flight->vector;
     // Every participant derived from this sweep: attribute its working-set
-    // peak to each of them (scout-led sweeps would otherwise attribute it
-    // to no query at all).
+    // peak to each of them.
     peak = flight->peak_memory_bytes;
   }
   if (!status.ok()) return status;
@@ -1342,89 +1247,6 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
     stats_.RecordSweepCoalesced();
   }
   return SweepShare{std::move(vector), peak};
-}
-
-void QueryEngine::ScoutSweep(size_t worker_id, NodeId source) {
-  const QueryPlan plan = SweepPlan(source);
-  // A plan routed onto a kind with no sweep core cannot be warmed (the
-  // queries it belongs to fail with NotSupported; scouting them would only
-  // burn a pool slot re-raising the error).
-  if (!ReplicaFor(plan.kind, worker_id).SupportsSourceSweep()) return;
-  const uint64_t sweep_seed = SweepSeedForPlan(source, plan);
-  const SweepCacheKey key{plan.kind, source, plan.num_samples, sweep_seed};
-  if (sweep_cache_ == nullptr || sweep_cache_->Contains(key)) return;
-  bool leader = false;
-  std::shared_ptr<const std::vector<double>> cached;
-  std::shared_ptr<SweepFlight> flight = JoinOrCreateSweepFlight(
-      worker_id, plan, key, /*scout=*/true, &leader, &cached);
-  // Nothing to warm unless this scout won the flight outright: a memoized
-  // sweep needs no warming and an open flight already has a leader.
-  if (flight == nullptr || !leader) return;
-  // The scout IS this sweep's leader — same seed, same strata, same
-  // single-flight entry the queries join (and steal from). It counts in
-  // sweep_executed (the invocation currency) and in scout_warms (the
-  // classifier that keeps the query-partition arithmetic honest). A failed
-  // scout sweep fails exactly as a query-led sweep would; the flight hands
-  // the error to any queries that joined, and the error is re-raised
-  // deterministically on recompute.
-  stats_.RecordSweepExecuted();
-  stats_.RecordScoutWarm();
-  // A scout sweep has no query behind it, so it gets its own trace root
-  // (kScout) when tracing is engaged; the strata it runs nest under it
-  // exactly like a query-led sweep's.
-  obs::TraceBuffer buffer;
-  obs::TraceBuffer* trace = nullptr;
-  uint32_t root = obs::TraceBuffer::kNone;
-  if (tracer_->engaged()) {
-    trace = &buffer;
-    buffer.Start(tracer_->NextQueryId(), static_cast<uint32_t>(worker_id));
-    root = buffer.Begin(obs::SpanKind::kScout);
-  }
-  // A scout carries no deadline (cancel=nullptr) and always drains its
-  // flight, so the OK status is discardable: failures live in the flight.
-  (void)RunSweepFlight(worker_id, source, plan, sweep_seed, key, flight,
-                       /*leader=*/true, /*cancel=*/nullptr, trace, root);
-  if (trace != nullptr) {
-    buffer.End(root);
-    tracer_->Finish(buffer);
-  }
-}
-
-void QueryEngine::ScoutBatch(const std::vector<EngineQuery>& queries) {
-  if (!ScoutingEnabled() || options_.scout_max_sources == 0) return;
-  std::unordered_map<NodeId, uint32_t> frequency;
-  for (const EngineQuery& query : queries) {
-    if (IsSweepWorkload(query.workload)) ++frequency[query.source];
-  }
-  // Hottest first: a scout task is worth a pool slot only when several
-  // queries will derive from its sweep.
-  std::vector<std::pair<NodeId, uint32_t>> ranked;
-  ranked.reserve(frequency.size());
-  for (const auto& [source, count] : frequency) {
-    if (count >= 2) ranked.emplace_back(source, count);
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const std::pair<NodeId, uint32_t>& a,
-               const std::pair<NodeId, uint32_t>& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  if (ranked.size() > options_.scout_max_sources) {
-    ranked.resize(options_.scout_max_sources);
-  }
-  for (const auto& [source, count] : ranked) {
-    (void)count;
-    const QueryPlan plan = SweepPlan(source);
-    if (sweep_cache_->Contains(SweepCacheKey{plan.kind, source,
-                                             plan.num_samples,
-                                             SweepSeedForPlan(source, plan)})) {
-      continue;
-    }
-    // Best-effort: a full queue just means no warm-ahead for this source.
-    (void)pool_->TrySubmit([this, source](size_t worker_id) {
-      ScoutSweep(worker_id, source);
-    });
-  }
 }
 
 Result<WorkloadResult> QueryEngine::ComputeWorkload(
@@ -1446,7 +1268,6 @@ Result<WorkloadResult> QueryEngine::ComputeWorkload(
     if (share.peak_memory_bytes > derived.peak_memory_bytes) {
       derived.peak_memory_bytes = share.peak_memory_bytes;
     }
-    derived.served_stale = share.stale;
     return derived;
   }
   FaultInjector& injector = FaultInjector::Global();
@@ -1460,8 +1281,8 @@ Result<WorkloadResult> QueryEngine::ComputeWorkload(
   {
     StageTimer prepare_stage(stage_prepare_, trace, obs::SpanKind::kPrepare,
                              parent);
-    RELCOMP_RETURN_NOT_OK(PrepareReplica(
-        estimator, HashCombineSeed(query_seed, kPrepareSeedTag)));
+    RELCOMP_RETURN_NOT_OK(estimator.PrepareForNextQuery(
+        HashCombineSeed(query_seed, kPrepareSeedTag)));
   }
   EstimateOptions estimate_options;
   estimate_options.num_samples = plan.num_samples;
@@ -1471,9 +1292,10 @@ Result<WorkloadResult> QueryEngine::ComputeWorkload(
   // (estimators without one ignore the knob).
   estimate_options.num_strata = plan.num_strata;
   estimate_options.cancel = cancel;
-  obs::ScopedSpan estimate_span(trace, obs::SpanKind::kEstimate, parent);
+  StageTimer estimate_stage(stage_estimate_, trace, obs::SpanKind::kEstimate,
+                            parent);
   estimate_options.trace = trace;
-  estimate_options.trace_parent = estimate_span.id();
+  estimate_options.trace_parent = estimate_stage.id();
   return DispatchWorkload(estimator, query, estimate_options);
 }
 
@@ -1560,10 +1382,8 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
     slot->reliability = value.reliability;
     slot->num_samples = value.num_samples;
     slot->targets = value.targets;
-    slot->served_stale = result->served_stale;
     slot->seconds = timer.ElapsedSeconds();
     stats_.RecordExecuted(slot->seconds, result->peak_memory_bytes);
-    if (result->served_stale) stats_.RecordStaleServed();
     // Feed the fallback gate: one observation per estimator-executed routed
     // query (cache hits and coalesced waiters observed someone else's
     // latency and were filtered out above).
@@ -1599,19 +1419,6 @@ Result<std::vector<EngineResult>> QueryEngine::RunBatch(
           StrFormat("query %zu: %s", i, valid.message().c_str()));
     }
   }
-  if (prebuilder_ != nullptr) {
-    // Seed the background builder with the whole batch's prepare seeds
-    // (deduplicated and bounded inside): generations for later queries are
-    // resampled while workers run the earlier queries' BFS, instead of
-    // inline on the serving path.
-    for (const EngineQuery& query : queries) {
-      RequestPrebuild(query);
-    }
-  }
-  // Warm-ahead scout pass: the batch's hottest sweep sources get stratified
-  // warm tasks enqueued ahead of the queries, so their sweeps are leading
-  // (and stealable) by the time the queries that need them dispatch.
-  ScoutBatch(queries);
   stats_.MarkCallStart();
   auto state = std::make_shared<CallState>();
   state->pending = queries.size();
@@ -1744,27 +1551,11 @@ void QueryEngine::ScheduleResultRefresh(const ResultCacheKey& key) {
   if (!submitted.ok()) cache_->ClearRefreshPending(key);
 }
 
-void QueryEngine::ScheduleSweepRefresh(const SweepCacheKey& key,
-                                       NodeId source) {
-  // The scout pass IS a sweep refresh: it leads a fresh flight for the
-  // source's current plan and publishes through the normal finalize path
-  // (whose Insert re-arms refresh_pending). JoinOrCreateSweepFlight
-  // deliberately refuses to serve the scout the stale entry it came to
-  // replace.
-  const Status submitted = SubmitRefreshTask([this, source](size_t worker_id) {
-    ScoutSweep(worker_id, source);
-  });
-  if (!submitted.ok()) sweep_cache_->ClearRefreshPending(key);
-}
-
 Status QueryEngine::Submit(const EngineQuery& query) {
   RELCOMP_RETURN_NOT_OK(ValidateWorkload(graph_, query));
   if (options_.enable_load_shedding) {
     RELCOMP_RETURN_NOT_OK(AdmitQuery(query));
   }
-  // Overlap: the builder resamples this query's generation while earlier
-  // stream queries are still running their BFS on the workers.
-  if (prebuilder_ != nullptr) RequestPrebuild(query);
   // The pool submit happens under stream_mutex_ so a concurrent Drain either
   // sees this query fully enqueued (and waits for it) or not at all (next
   // cycle); a slot can never be mid-flight across a drain boundary.
@@ -1772,17 +1563,6 @@ Status QueryEngine::Submit(const EngineQuery& query) {
   if (stream_results_.empty()) {
     stream_timer_.Restart();
     stream_state_ = std::make_shared<CallState>();
-  }
-  if (ScoutingEnabled() && IsSweepWorkload(query.workload)) {
-    // Stream-side warm-ahead: the second submission of a source in one
-    // cycle marks it hot; a scout task enqueued *before* this query's own
-    // task leads the sweep the repeats will derive from.
-    if (++stream_sweep_counts_[query.source] == 2) {
-      const NodeId source = query.source;
-      (void)pool_->TrySubmit([this, source](size_t worker_id) {
-        ScoutSweep(worker_id, source);
-      });
-    }
   }
   stats_.MarkCallStart();
   stream_results_.push_back(std::make_unique<EngineResult>());
@@ -1820,7 +1600,6 @@ Result<std::vector<EngineResult>> QueryEngine::Drain() {
     pending.swap(stream_results_);
     state = std::move(stream_state_);
     cycle_timer = stream_timer_;
-    stream_sweep_counts_.clear();  // scout frequencies are per-cycle
   }
   if (state != nullptr) AwaitCall(*state);
   if (pending.empty()) return std::vector<EngineResult>{};

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -13,7 +12,6 @@
 #include "common/cancel.h"
 #include "common/timer.h"
 #include "engine/engine_stats.h"
-#include "engine/generation_prebuilder.h"
 #include "engine/result_cache.h"
 #include "engine/router.h"
 #include "engine/sweep_cache.h"
@@ -96,53 +94,6 @@ struct EngineOptions {
   bool enable_sweep_cache = true;
   /// Byte budget for the sweep cache (one sweep = num_nodes doubles).
   size_t sweep_cache_max_bytes = size_t{128} << 20;
-  /// Warm-ahead sweep scouting: RunBatch (and the stream path) sees a
-  /// batch's sweep sources up front, so before the queries drain, a scout
-  /// pass enqueues stratified warm tasks for the hottest sources (ranked by
-  /// batch frequency) — the way prepare seeds already feed the generation
-  /// prebuilder. A scout that wins the sweep's single-flight leads the very
-  /// sweep the queries would have led (same seed, same strata, stealable by
-  /// the queries it outran), so results are bit-identical with scouting on
-  /// or off; it only moves the hottest sweeps to the front of the pool.
-  /// Effective only with coalescing and the sweep cache on (it needs the
-  /// single-flight table and the memo to hand its vector over).
-  bool enable_sweep_scout = true;
-  /// Most-frequent sources the scout pass warms per batch; a source must
-  /// appear at least twice to be worth a scout task.
-  uint32_t scout_max_sources = 4;
-  /// TTL in seconds on sweep-cache entries published by a scout-led sweep
-  /// *no query joined*: a speculative warm that turned out cold expires
-  /// instead of pinning sweep-cache bytes until eviction. A real query
-  /// joining the flight (or deriving from the entry later — Lookup promotes
-  /// on hit) makes the sweep immortal again. 0 = scout warms never expire
-  /// (the pre-TTL behavior).
-  double scout_warm_ttl = 30.0;
-  /// Background generation prebuilding: when the estimator kind supports
-  /// prepared generations (BFS Sharing), a builder thread constructs the
-  /// next queries' PrepareForNextQuery artifacts (world resampling)
-  /// overlapping the previous queries' BFS, and workers adopt them in O(1)
-  /// instead of resampling inline on the serving path. Bit-identical on or
-  /// off.
-  bool enable_generation_prebuild = true;
-  /// Bound on queued + ready-but-unclaimed prebuilt generations. NOTE: the
-  /// bound is a *count*, and every ready generation holds a full index-sized
-  /// artifact (a BFS Sharing generation is the L-bit-per-edge vectors, the
-  /// same order as the shared index itself) that is not part of
-  /// IndexMemory() — size this knob as "how many spare indexes fit in RAM".
-  /// At the bound the oldest ready generation is evicted for a new request;
-  /// if all pending work is queued / in-flight, the request is dropped and
-  /// the affected query simply resamples inline.
-  size_t prebuild_max_pending = 16;
-  /// Builder threads fanning the L·m resampling of several distinct prepare
-  /// seeds concurrently (each seed still built exactly once, closest to
-  /// dispatch first). Clamped to >= 1.
-  size_t prebuild_threads = 2;
-  /// Byte budget for the prebuilder's ready pool (0 = bounded by count
-  /// only): ready generations are charged their real
-  /// PreparedGeneration::MemoryBytes() — index-sized for BFS Sharing — and
-  /// the oldest are evicted when the pool exceeds the budget. The resident
-  /// pool is reported in IndexMemoryReport::prebuilt_bytes.
-  size_t prebuild_max_bytes = 0;
   /// \name Fault tolerance & graceful degradation (see README "Failure
   /// semantics & degraded modes")
   /// @{
@@ -164,9 +115,9 @@ struct EngineOptions {
   /// completely full. Cache-servable queries are always admitted — they
   /// resolve in O(1) without a worker.
   size_t shed_queue_depth = 0;
-  /// Stale-while-revalidate window in seconds: a TTL-expired cache entry
-  /// (result or sweep) whose deadline elapsed less than this long ago is
-  /// served immediately — flagged in EngineResult::served_stale — while one
+  /// Stale-while-revalidate window in seconds: a TTL-expired result-cache
+  /// entry whose deadline elapsed less than this long ago is served
+  /// immediately — flagged in EngineResult::served_stale — while one
   /// background task recomputes it through the normal single-flight
   /// machinery. 0 (the default) disables SWR: expired entries are recomputed
   /// synchronously, the pre-SWR behavior. Content-determinism makes a stale
@@ -382,21 +333,17 @@ class QueryEngine {
   const ResultCache* cache() const { return cache_.get(); }
   /// nullptr when sweep memoization is disabled.
   const SweepCache* sweep_cache() const { return sweep_cache_.get(); }
-  /// nullptr when the prebuilder is off or the estimator kind has no
-  /// prepared-generation support.
-  const GenerationPrebuilder* prebuilder() const { return prebuilder_.get(); }
   /// Deduplicated resident index footprint of the replica set (a shared
-  /// index is counted once, not once per replica) plus the prebuilder's
-  /// ready pool of spare generations (IndexMemoryReport::prebuilt_bytes).
+  /// index is counted once, not once per replica).
   IndexMemoryReport IndexMemory() const;
   /// Cumulative since construction (RunBatch and stream both feed it).
   EngineStatsSnapshot StatsSnapshot() const;
   void ResetStats() { stats_.Reset(); }
 
   /// Engine-wide instrument registry: the stats recorder, both caches, the
-  /// pool's queue-wait histogram, the stage histograms, and the prebuilder
-  /// all record into this one registry, so a single ExportJson() /
-  /// ExportText() scrape reports everything the engine measures.
+  /// pool's queue-wait histogram, and the stage histograms all record into
+  /// this one registry, so a single ExportJson() / ExportText() scrape
+  /// reports everything the engine measures.
   obs::MetricsRegistry& metrics() const { return *registry_; }
 
   /// Per-query tracing sink: the span ring (trace_sample_rate) and the
@@ -492,12 +439,6 @@ class QueryEngine {
     /// divisor). Every participant reached this flight through the same
     /// plan-derived key, so the plan knobs are flight invariants.
     uint32_t num_samples = 0;
-    /// True while only the warm-ahead scout leads this flight (no query has
-    /// joined): the publish then carries the scout-warm TTL, so a sweep no
-    /// query ever wanted cannot pin sweep-cache bytes indefinitely. Cleared
-    /// the moment a query joins or steals (relaxed atomic: set/cleared under
-    /// the rendezvous lock, read once by the finalizer).
-    std::atomic<bool> scout_only{false};
     /// True when the estimator has no stratified core: the single "stratum"
     /// runs the whole EstimateFromSource into `whole`.
     bool whole_sweep = false;
@@ -525,13 +466,9 @@ class QueryEngine {
   struct SweepShare {
     std::shared_ptr<const std::vector<double>> vector;
     /// The sweep's tracked working-set peak (max over every participant's
-    /// strata) for flight participants — leaders and joiners alike, so the
-    /// sweep's footprint is attributed to its queries even when the
-    /// warm-ahead scout led it. 0 for SweepCache hits.
+    /// strata) for flight participants — leaders and joiners alike. 0 for
+    /// SweepCache hits.
     size_t peak_memory_bytes = 0;
-    /// The vector came from a TTL-expired SweepCache entry served inside the
-    /// stale window (stale-while-revalidate).
-    bool stale = false;
   };
 
   /// Executes one query on `worker_id`'s replica (or serves it from cache /
@@ -546,7 +483,7 @@ class QueryEngine {
 
   /// Compute path of one query (after the cache / query-level flight said
   /// miss): sweep kinds go through the sweep-sharing layer, everything else
-  /// through PrepareReplica + DispatchWorkload.
+  /// through PrepareForNextQuery + DispatchWorkload.
   /// `cancel` (nullable) is the query's deadline/cancellation token, polled
   /// cooperatively by the estimator loops and the flight machinery below.
   Result<WorkloadResult> ComputeWorkload(size_t worker_id,
@@ -609,32 +546,10 @@ class QueryEngine {
   /// then joins the existing flight or creates-and-initializes a fresh one.
   /// Returns nullptr when the double-check served the sweep (`*cached`
   /// holds the vector); otherwise the flight, with `*leader` true iff this
-  /// caller created it. Shared by the query path and the scout pass so the
-  /// two can never drift in flight setup. `scout` marks a warm-ahead
-  /// creation (flight starts scout_only, its publish carries the warm TTL);
-  /// a non-scout join clears the mark. With stale-while-revalidate on, the
-  /// double-check serves stale entries to queries (`*stale` / `*refresh_owner`
-  /// report the episode, both nullable) — but never to the scout, which came
-  /// precisely to lead the flight that replaces the stale entry.
+  /// caller created it.
   std::shared_ptr<SweepFlight> JoinOrCreateSweepFlight(
       size_t worker_id, const QueryPlan& plan, const SweepCacheKey& key,
-      bool scout, bool* leader,
-      std::shared_ptr<const std::vector<double>>* cached,
-      bool* stale = nullptr, bool* refresh_owner = nullptr);
-
-  /// Warm-ahead scout task for `source`: if its sweep is neither memoized
-  /// nor in flight, leads a stratified sweep through the same single-flight
-  /// protocol queries use (the queries it outran steal its strata / derive
-  /// from its vector). Best-effort and semantically invisible.
-  void ScoutSweep(size_t worker_id, NodeId source);
-
-  /// True when scout warm tasks make sense under the current configuration.
-  /// `sweep_capable_` already accounts for routing: a router may plan sweeps
-  /// onto a candidate kind even when the static kind cannot run them.
-  bool ScoutingEnabled() const {
-    return options_.enable_sweep_scout && options_.enable_coalescing &&
-           sweep_cache_ != nullptr && sweep_capable_;
-  }
+      bool* leader, std::shared_ptr<const std::vector<double>>* cached);
 
   /// Seed derivation under an explicit plan: plan.kind / plan.num_samples
   /// fold in the exact positions the static knobs occupy today, and
@@ -652,21 +567,6 @@ class QueryEngine {
   /// right after construction; a malformed router_profile_json fails engine
   /// creation). No-op when the router is off.
   Status InitRouter();
-
-  /// Enqueues scout warm tasks for the most frequent sweep sources of
-  /// `queries` (frequency >= 2, capped at scout_max_sources), ahead of the
-  /// batch's own tasks in the pool's FIFO.
-  void ScoutBatch(const std::vector<EngineQuery>& queries);
-
-  /// Re-arms `estimator` for a query with `prepare_seed`: adopts a prebuilt
-  /// generation when the background prebuilder has one ready, falls back to
-  /// the inline PrepareForNextQuery otherwise (bit-identical either way).
-  Status PrepareReplica(Estimator& estimator, uint64_t prepare_seed);
-
-  /// Hands `query`'s prepare seed to the background builder — unless the
-  /// result cache will serve the query anyway (prebuilder_ must be
-  /// non-null).
-  void RequestPrebuild(const EngineQuery& query);
 
   /// Cache lookup + single-flight rendezvous for `key`. Returns true when
   /// `slot` was fully served (cache hit — positive or negative — or
@@ -694,10 +594,8 @@ class QueryEngine {
   /// Kicks off the background stale-while-revalidate recompute this caller
   /// owns (LookupStale handed it refresh_owner). Best-effort: a full pool
   /// re-arms the entry instead (ClearRefreshPending). The refresh records
-  /// nothing into per-query stats — no query is behind it — mirroring how
-  /// scout warms stay outside the query partition.
+  /// nothing into per-query stats — no query is behind it.
   void ScheduleResultRefresh(const ResultCacheKey& key);
-  void ScheduleSweepRefresh(const SweepCacheKey& key, NodeId source);
 
   /// Width of the auxiliary refresh lane this configuration runs (0 = no
   /// lane; refreshes fall back to the serving pool).
@@ -738,8 +636,8 @@ class QueryEngine {
   const UncertainGraph& graph_;
   const EngineOptions options_;
   /// Declared before every component that records into it (stats, caches,
-  /// pool, prebuilder), so it is destroyed last: workers may still record
-  /// while the pool drains during shutdown.
+  /// pool), so it is destroyed last: workers may still record while the
+  /// pool drains during shutdown.
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::Tracer> tracer_;
   /// Crash-safe persistence root; nullptr when persist_dir is empty.
@@ -773,6 +671,7 @@ class QueryEngine {
   /// family is recorded inside the pool.
   obs::Histogram* stage_cache_probe_;
   obs::Histogram* stage_prepare_;
+  obs::Histogram* stage_estimate_;
   obs::Histogram* stage_stratum_;
   obs::Histogram* stage_merge_;
   obs::Histogram* stage_publish_;
@@ -810,17 +709,15 @@ class QueryEngine {
 
   /// Memoized per-source sweeps; nullptr when disabled.
   std::unique_ptr<SweepCache> sweep_cache_;
-  /// Background generation builder; nullptr when off / unsupported. Declared
-  /// after replicas_ so it is destroyed (thread joined) before they are.
-  std::unique_ptr<GenerationPrebuilder> prebuilder_;
 
   /// \name Warm-state journaling (guarded by journal_mutex_)
   /// @{
   std::mutex journal_mutex_;
   /// Key hashes already appended to the journal this process lifetime —
   /// the journal is append-only, so each warm entry is journaled once (a
-  /// later re-insert with a fresher TTL keeps its first-journaled TTL,
-  /// which can only shorten its restored life — conservative by design).
+  /// later result-cache re-insert with a fresher TTL keeps its
+  /// first-journaled TTL, which can only shorten its restored life —
+  /// conservative by design).
   std::unordered_set<uint64_t> journaled_sweeps_;
   std::unordered_set<uint64_t> journaled_results_;
   WarmRestoreReport warm_report_;
@@ -836,10 +733,6 @@ class QueryEngine {
   std::vector<std::unique_ptr<EngineResult>> stream_results_;
   std::shared_ptr<CallState> stream_state_;
   Timer stream_timer_;  ///< restarted on the first Submit of a stream cycle
-  /// Per-stream-cycle sweep-source frequencies (guarded by stream_mutex_,
-  /// cleared on Drain): the second submission of a source in one cycle
-  /// triggers a scout warm task ahead of that query.
-  std::unordered_map<NodeId, uint32_t> stream_sweep_counts_;
 };
 
 }  // namespace relcomp

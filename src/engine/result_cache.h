@@ -144,8 +144,9 @@ class ResultCache {
                                          bool record_stats = true);
 
   /// True when a live (unexpired) entry exists for `key`. Touches neither
-  /// recency nor stats and copies no payload — a pure probe, e.g. for the
-  /// engine deciding whether a query is worth prebuilding for.
+  /// recency nor stats and copies no payload — a pure probe, for the
+  /// engine's load-shedding gate deciding whether a query can be served
+  /// without a worker.
   bool Contains(const ResultCacheKey& key) const;
 
   /// Stale-while-revalidate lookup. Fresh entries behave exactly like

@@ -25,9 +25,6 @@ SweepCache::SweepCache(size_t max_bytes, obs::MetricsRegistry* registry)
   insertions_ = registry->GetCounter("sweep_cache_insertions_total");
   evictions_ = registry->GetCounter("sweep_cache_evictions_total");
   rejected_ = registry->GetCounter("sweep_cache_rejected_total");
-  expired_ = registry->GetCounter("sweep_cache_expired_total");
-  stale_served_ =
-      registry->GetCounter("cache_stale_served_total", "cache", "sweep");
   bytes_gauge_ = registry->GetGauge("sweep_cache_bytes");
   entries_gauge_ = registry->GetGauge("sweep_cache_entries");
 }
@@ -45,87 +42,18 @@ std::shared_ptr<const std::vector<double>> SweepCache::Lookup(
     if (record_stats) misses_->Inc();
     return nullptr;
   }
-  if (it->second->expires && StopwatchNs::Now() >= it->second->deadline_ns) {
-    // Lazy reaping: the warm's deadline passed with no consumer — drop it on
-    // the lookup that discovered that, and report a miss.
-    bytes_in_use_ -= it->second->bytes;
-    lru_.erase(it->second);
-    index_.erase(it);
-    expired_->Inc();
-    if (record_stats) misses_->Inc();
-    SyncGaugesLocked();
-    return nullptr;
-  }
-  // Promote-on-hit: a consumer proved the warm was wanted, so the entry
-  // graduates to the normal immortal LRU regime.
-  it->second->expires = false;
   lru_.splice(lru_.begin(), lru_, it->second);
   if (record_stats) hits_->Inc();
   return it->second->sweep;
 }
 
-StaleSweepLookup SweepCache::LookupStale(const SweepCacheKey& key,
-                                         double max_stale_seconds,
-                                         bool record_stats) {
-  StaleSweepLookup result;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    if (record_stats) misses_->Inc();
-    return result;
-  }
-  Entry& entry = *it->second;
-  if (entry.expires && StopwatchNs::Now() >= entry.deadline_ns) {
-    const uint64_t stale_deadline_ns =
-        entry.deadline_ns +
-        static_cast<uint64_t>(max_stale_seconds > 0.0 ? max_stale_seconds * 1e9
-                                                      : 0.0);
-    if (max_stale_seconds <= 0.0 || StopwatchNs::Now() >= stale_deadline_ns) {
-      // Past the stale window: reap, exactly as Lookup() would.
-      bytes_in_use_ -= entry.bytes;
-      lru_.erase(it->second);
-      index_.erase(it);
-      expired_->Inc();
-      if (record_stats) misses_->Inc();
-      SyncGaugesLocked();
-      return result;
-    }
-    // Serve stale without promotion — the entry stays expired so the owned
-    // re-warm's Insert supersedes it rather than racing a promoted twin.
-    result.stale = true;
-    if (!entry.refresh_pending) {
-      entry.refresh_pending = true;
-      result.refresh_owner = true;
-    }
-    stale_served_->Inc();
-  } else {
-    // Live entry: promote-on-hit, as in Lookup().
-    entry.expires = false;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  if (record_stats) hits_->Inc();
-  result.sweep = entry.sweep;
-  return result;
-}
-
-void SweepCache::ClearRefreshPending(const SweepCacheKey& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(key);
-  if (it != index_.end()) it->second->refresh_pending = false;
-}
-
 bool SweepCache::Contains(const SweepCacheKey& key) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  // An expired warm is already absent semantically; the next Lookup reaps it
-  // (Contains is const and must stay a pure probe).
-  return !(it->second->expires && StopwatchNs::Now() >= it->second->deadline_ns);
+  return index_.count(key) != 0;
 }
 
 void SweepCache::Insert(const SweepCacheKey& key,
-                        std::shared_ptr<const std::vector<double>> sweep,
-                        double ttl_seconds) {
+                        std::shared_ptr<const std::vector<double>> sweep) {
   if (sweep == nullptr) return;
   if (FaultInjector::Global().enabled() &&
       FaultInjector::Global().ShouldInject(FaultSite::kAllocFailure,
@@ -140,23 +68,16 @@ void SweepCache::Insert(const SweepCacheKey& key,
     rejected_->Inc();
     return;
   }
-  const bool expires = ttl_seconds > 0.0;
-  const uint64_t deadline_ns =
-      expires ? StopwatchNs::Now() + static_cast<uint64_t>(ttl_seconds * 1e9)
-              : 0;
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
   if (it != index_.end()) {
     bytes_in_use_ -= it->second->bytes;
     it->second->sweep = std::move(sweep);
     it->second->bytes = bytes;
-    it->second->expires = expires;
-    it->second->deadline_ns = deadline_ns;
-    it->second->refresh_pending = false;  // re-warm landed; re-arm SWR
     bytes_in_use_ += bytes;
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    lru_.push_front(Entry{key, std::move(sweep), bytes, expires, deadline_ns});
+    lru_.push_front(Entry{key, std::move(sweep), bytes});
     index_.emplace(key, lru_.begin());
     bytes_in_use_ += bytes;
     insertions_->Inc();
@@ -175,16 +96,10 @@ void SweepCache::Insert(const SweepCacheKey& key,
 
 std::vector<SweepCacheExport> SweepCache::ExportEntries() const {
   std::vector<SweepCacheExport> out;
-  const uint64_t now_ns = StopwatchNs::Now();
   std::lock_guard<std::mutex> lock(mutex_);
   out.reserve(lru_.size());
   for (const Entry& entry : lru_) {
-    double ttl_seconds = 0.0;
-    if (entry.expires) {
-      if (now_ns >= entry.deadline_ns) continue;  // dead warm: never journal
-      ttl_seconds = static_cast<double>(entry.deadline_ns - now_ns) * 1e-9;
-    }
-    out.push_back(SweepCacheExport{entry.key, entry.sweep, ttl_seconds});
+    out.push_back(SweepCacheExport{entry.key, entry.sweep});
   }
   return out;
 }
@@ -204,8 +119,6 @@ SweepCacheStats SweepCache::Stats() const {
   stats.insertions = insertions_->Value();
   stats.evictions = evictions_->Value();
   stats.rejected = rejected_->Value();
-  stats.expired = expired_->Value();
-  stats.stale_served = stale_served_->Value();
   std::lock_guard<std::mutex> lock(mutex_);
   stats.bytes_in_use = bytes_in_use_;
   stats.entries = lru_.size();

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/timer.h"
 #include "graph/uncertain_graph.h"
 #include "obs/metrics.h"
 #include "reliability/estimator_factory.h"
@@ -38,24 +37,11 @@ struct SweepCacheKey {
   uint64_t Hash() const;
 };
 
-/// Outcome of a stale-tolerant sweep lookup (LookupStale).
-struct StaleSweepLookup {
-  /// The sweep (fresh or stale); nullptr on a true miss.
-  std::shared_ptr<const std::vector<double>> sweep;
-  /// True when the sweep is TTL-expired but within the stale window.
-  bool stale = false;
-  /// True for exactly one caller per stale episode — that caller owns the
-  /// background re-warm. Reset by the next Insert on the key.
-  bool refresh_owner = false;
-};
-
 /// One warm sweep as exported for the persistence journal: the full cache
-/// key, the payload, and how much TTL it had left at export time
-/// (0 = immortal). Expired entries are never exported.
+/// key and the payload.
 struct SweepCacheExport {
   SweepCacheKey key;
   std::shared_ptr<const std::vector<double>> sweep;
-  double ttl_seconds = 0.0;
 };
 
 /// Monotonic counters plus point-in-time occupancy; a snapshot type.
@@ -66,10 +52,6 @@ struct SweepCacheStats {
   uint64_t evictions = 0;
   /// Sweeps too large for the byte budget, never admitted.
   uint64_t rejected = 0;
-  /// TTL'd warm entries dropped by the lookup that found them expired.
-  uint64_t expired = 0;
-  /// Expired sweeps served inside a stale window (stale-while-revalidate).
-  uint64_t stale_served = 0;
   /// Occupancy at snapshot time.
   size_t bytes_in_use = 0;
   size_t entries = 0;
@@ -101,55 +83,24 @@ class SweepCache {
   explicit SweepCache(size_t max_bytes,
                       obs::MetricsRegistry* registry = nullptr);
 
-  /// Returns the memoized sweep and refreshes its recency, or nullptr. An
-  /// entry past its TTL deadline is dropped by the lookup that discovers it
-  /// (counted in SweepCacheStats::expired) and reported as a miss. A live
-  /// hit *promotes* a TTL'd entry to immortal: a real consumer proved the
-  /// warm was wanted, so it graduates to the normal LRU/byte regime.
+  /// Returns the memoized sweep and refreshes its recency, or nullptr.
   /// `record_stats` = false makes the probe invisible to Stats() — for the
   /// engine's under-lock double check in the sweep-flight rendezvous, which
   /// would otherwise count one query's sweep acquisition twice.
   std::shared_ptr<const std::vector<double>> Lookup(const SweepCacheKey& key,
                                                     bool record_stats = true);
 
-  /// Stale-while-revalidate lookup. Live entries behave exactly like
-  /// Lookup() (including promote-on-hit). A TTL-expired entry whose deadline
-  /// elapsed less than `max_stale_seconds` ago is served anyway with `stale`
-  /// set and *without* promotion (it stays expired so the refresh replaces
-  /// it); the first such observer gets `refresh_owner` = true. Sweep
-  /// payloads are content-derived, so a stale sweep is byte-identical to a
-  /// recomputed one — serving it cannot change any answer. Past the stale
-  /// window the entry is reaped and the lookup is a miss.
-  StaleSweepLookup LookupStale(const SweepCacheKey& key,
-                               double max_stale_seconds,
-                               bool record_stats = true);
-
-  /// Releases the refresh-pending flag on `key`, re-arming LookupStale to
-  /// elect a new refresh owner (for owners whose re-warm could not run).
-  void ClearRefreshPending(const SweepCacheKey& key);
-
   /// Admits (or refreshes) `sweep` under `key`, evicting LRU entries until
   /// the byte budget holds. Oversized sweeps are rejected (see class note).
-  /// `ttl_seconds` > 0 marks the entry as a speculative warm that expires
-  /// after that long unless a Lookup hit promotes it first — the engine's
-  /// scout-warmed sweeps use this so a warm no query ever wanted cannot pin
-  /// cache bytes until LRU eviction. 0 (the default) admits immortal, the
-  /// pre-TTL behavior; re-inserting an existing key applies the new TTL
-  /// (a query-led re-insert thereby also promotes).
   void Insert(const SweepCacheKey& key,
-              std::shared_ptr<const std::vector<double>> sweep,
-              double ttl_seconds = 0.0);
+              std::shared_ptr<const std::vector<double>> sweep);
 
-  /// True when `key` is memoized and not expired. Touches neither recency
-  /// nor stats — a pure probe, e.g. for the engine deciding whether a
-  /// sweep-kind query is worth prebuilding a generation for (an expired
-  /// warm is reported absent; the next Lookup reaps it).
+  /// True when `key` is memoized. Touches neither recency nor stats — a pure
+  /// probe, for the engine's load-shedding gate deciding whether a
+  /// sweep-kind query can be served without a worker.
   bool Contains(const SweepCacheKey& key) const;
 
-  /// Snapshot of every live entry for the persistence journal, most-recent
-  /// first. TTL'd entries carry their *remaining* TTL so a restart cannot
-  /// extend a warm's life; entries already past their deadline are skipped
-  /// (not reaped — this is a const probe like Contains).
+  /// Snapshot of every entry for the persistence journal, most-recent first.
   std::vector<SweepCacheExport> ExportEntries() const;
 
   /// Drops every entry (stats are kept).
@@ -170,11 +121,6 @@ class SweepCache {
     SweepCacheKey key;
     std::shared_ptr<const std::vector<double>> sweep;
     size_t bytes = 0;
-    /// TTL state (see Insert): expired entries are reaped lazily by Lookup.
-    bool expires = false;
-    uint64_t deadline_ns = 0;
-    /// A stale-while-revalidate re-warm is already owned for this entry.
-    bool refresh_pending = false;
   };
   struct KeyHash {
     size_t operator()(const SweepCacheKey& key) const {
@@ -198,8 +144,6 @@ class SweepCache {
   obs::Counter* insertions_;
   obs::Counter* evictions_;
   obs::Counter* rejected_;
-  obs::Counter* expired_;
-  obs::Counter* stale_served_;
   obs::Gauge* bytes_gauge_;
   obs::Gauge* entries_gauge_;
 };

@@ -52,7 +52,7 @@ ConvergenceOptions BenchConfig::MakeConvergenceOptions(
 std::string BenchConfig::Describe() const {
   return StrFormat(
       "scale=%s pairs=%u repeats=%u K=%u..%u step %u rho<%g seed=%llu "
-      "(paper: 100 pairs, T=100; see EXPERIMENTS.md)",
+      "(paper: 100 pairs, T=100)",
       ScaleName(scale), num_pairs, repeats, initial_k, max_k, step_k,
       dispersion_threshold, static_cast<unsigned long long>(seed));
 }

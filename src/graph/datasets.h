@@ -8,8 +8,7 @@
 
 namespace relcomp {
 
-/// \brief The six paper datasets (Table 2), reproduced as synthetic analogues
-/// (see DESIGN.md §1.3 for the substitution rationale).
+/// \brief The six paper datasets (Table 2), reproduced as synthetic analogues.
 enum class DatasetId {
   kLastFm = 0,     ///< musical social network; P = 1/outdeg
   kNetHept,        ///< HEP-TH co-authorship; P uniform {0.1, 0.01, 0.001}

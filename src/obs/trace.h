@@ -18,13 +18,12 @@ namespace relcomp::obs {
 /// prepare / adopt -> per-stratum execute / steal -> merge -> publish.
 enum class SpanKind : uint8_t {
   kQuery,          ///< root: Submit (enqueue) to result publication
-  kScout,          ///< root of a warm-ahead scout sweep (no query behind it)
   kQueueWait,      ///< enqueue to dispatch on a worker
   kCacheProbe,     ///< result-cache (detail 0) / sweep-cache (detail 1) probe
   kCoalescedWait,  ///< waiting on a query-level single-flight leader
   kSweepFlight,    ///< participation in a sweep-level flight, claim to ready
   kSweepWait,      ///< waiting for another participant to finalize the sweep
-  kPrepare,        ///< PrepareForNextQuery / prebuilt-generation adoption
+  kPrepare,        ///< PrepareForNextQuery / shared-state adoption
   kStratum,        ///< one executed sweep stratum (detail = stratum index)
   kMerge,          ///< deterministic stratum merge by the finalizer
   kPublish,        ///< cache insert + flight retirement + waiter wakeup

@@ -14,27 +14,12 @@ namespace relcomp {
 namespace {
 constexpr char kIndexMagic[8] = {'R', 'E', 'L', 'B', 'F', 'S', 'I', 'X'};
 
-/// The background-prepare artifact: a fully sampled generation, held mutable
-/// so the adopting replica regains in-place-resample ownership.
-class PreparedBfsGeneration : public PreparedGeneration {
- public:
-  explicit PreparedBfsGeneration(std::shared_ptr<BfsSharingIndex> index)
-      : index(std::move(index)) {}
-  size_t MemoryBytes() const override {
-    return index == nullptr ? 0 : index->MemoryBytes();
-  }
-  std::shared_ptr<BfsSharingIndex> index;
-};
-
 /// The shared-prepared-state snapshot: a read-only view of an already
 /// prepared replica's generation, adoptable in O(1) by stratum thieves.
 class SharedBfsGeneration : public PreparedGeneration {
  public:
   explicit SharedBfsGeneration(std::shared_ptr<const BfsSharingIndex> index)
       : index(std::move(index)) {}
-  size_t MemoryBytes() const override {
-    return index == nullptr ? 0 : index->MemoryBytes();
-  }
   std::shared_ptr<const BfsSharingIndex> index;
 };
 
@@ -253,39 +238,6 @@ Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed) {
   index_.store(std::shared_ptr<const BfsSharingIndex>(fresh),
                std::memory_order_release);
   owned_ = std::move(fresh);
-  return Status::OK();
-}
-
-Result<std::unique_ptr<PreparedGeneration>>
-BfsSharingEstimator::BuildPreparedGeneration(uint64_t seed) const {
-  // Reads only graph_ and options_ (both frozen at construction), so a
-  // builder thread may run this while the serving thread is mid-BFS on the
-  // current generation. Build(seed) is what PrepareForNextQuery's swap path
-  // installs, and the in-place Resample path is bit-identical to it.
-  RELCOMP_ASSIGN_OR_RETURN(std::shared_ptr<BfsSharingIndex> fresh,
-                           BfsSharingIndex::Build(graph_, options_, seed));
-  return std::unique_ptr<PreparedGeneration>(
-      new PreparedBfsGeneration(std::move(fresh)));
-}
-
-Status BfsSharingEstimator::AdoptPreparedGeneration(
-    std::unique_ptr<PreparedGeneration> generation) {
-  auto* prepared = dynamic_cast<PreparedBfsGeneration*>(generation.get());
-  if (prepared == nullptr || prepared->index == nullptr) {
-    return Status::InvalidArgument(
-        "BFS Sharing: not a prepared BFS Sharing generation");
-  }
-  if (prepared->index->num_edges() != graph_.num_edges() ||
-      prepared->index->num_samples() != options_.index_samples) {
-    return Status::InvalidArgument(
-        "BFS Sharing: prepared generation shape mismatch");
-  }
-  // Same publication order as PrepareForNextQuery's swap path: readers of
-  // index_ move to the fresh worlds; the generation is exclusively ours, so
-  // later inline prepares resample it in place.
-  index_.store(std::shared_ptr<const BfsSharingIndex>(prepared->index),
-               std::memory_order_release);
-  owned_ = std::move(prepared->index);
   return Status::OK();
 }
 

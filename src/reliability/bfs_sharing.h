@@ -194,18 +194,6 @@ class BfsSharingEstimator : public Estimator {
   /// leaving generations still referenced by other replicas untouched.
   Status PrepareForNextQuery(uint64_t seed) override;
 
-  /// Background-prepare surface: BuildPreparedGeneration samples the worlds
-  /// PrepareForNextQuery(seed) would install — bit-identical, reading only
-  /// the graph and the options, so a builder thread can overlap it with this
-  /// replica's in-flight BFS. AdoptPreparedGeneration swaps it in as an
-  /// exclusively-owned generation (subsequent inline prepares resample it in
-  /// place again).
-  bool SupportsPreparedGenerations() const override { return true; }
-  Result<std::unique_ptr<PreparedGeneration>> BuildPreparedGeneration(
-      uint64_t seed) const override;
-  Status AdoptPreparedGeneration(
-      std::unique_ptr<PreparedGeneration> generation) override;
-
   /// Shared-prepared-state surface: a prepared replica hands its current
   /// generation to sibling replicas as a read-only snapshot, adopted in
   /// O(1) — how stratum thieves skip re-running the sharer's O(L·m)

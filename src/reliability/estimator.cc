@@ -29,22 +29,6 @@ Result<EstimateResult> Estimator::Estimate(const ReliabilityQuery& query,
   return result;
 }
 
-Result<std::unique_ptr<PreparedGeneration>> Estimator::BuildPreparedGeneration(
-    uint64_t seed) const {
-  (void)seed;
-  return Status::NotSupported(
-      StrFormat("%.*s has no prepared-generation support",
-                static_cast<int>(name().size()), name().data()));
-}
-
-Status Estimator::AdoptPreparedGeneration(
-    std::unique_ptr<PreparedGeneration> generation) {
-  (void)generation;
-  return Status::NotSupported(
-      StrFormat("%.*s has no prepared-generation support",
-                static_cast<int>(name().size()), name().data()));
-}
-
 Result<std::vector<double>> Estimator::EstimateFromSource(
     NodeId source, const EstimateOptions& options) {
   (void)source;

@@ -100,24 +100,12 @@ struct CostHints {
   bool sweep_amortized = false;
 };
 
-/// \brief Opaque artifact of an inter-query maintenance step performed off
-/// the serving path.
-///
-/// Estimators whose PrepareForNextQuery does real work (BFS Sharing's world
-/// resampling) can split it in two: BuildPreparedGeneration constructs the
-/// exact artifact PrepareForNextQuery(seed) would install — on any thread,
-/// overlapping the previous query's BFS — and AdoptPreparedGeneration
-/// installs it on the serving thread in O(1). The concrete payload is
-/// estimator-specific; callers only move the handle between the two calls.
+/// \brief Opaque, read-only snapshot of an estimator's per-query prepared
+/// state (ShareCurrentPreparedState). The concrete payload is
+/// estimator-specific; callers only move the handle between replicas.
 class PreparedGeneration {
  public:
   virtual ~PreparedGeneration() = default;
-
-  /// Logical bytes this ready-but-unadopted artifact keeps resident (a BFS
-  /// Sharing generation is index-sized: the full L-bit-per-edge vectors).
-  /// Lets the GenerationPrebuilder bound its ready pool by bytes and memory
-  /// reports account prebuilt generations alongside the live index.
-  virtual size_t MemoryBytes() const { return 0; }
 };
 
 /// \brief Common interface of the six s-t reliability estimators.
@@ -177,26 +165,8 @@ class Estimator {
     return Status::OK();
   }
 
-  /// \name Background-prepare surface (generation prebuilding)
+  /// \name Shared prepared state (stratum thieves of one sweep)
   /// @{
-
-  /// True when PrepareForNextQuery's work can be built off-thread through
-  /// BuildPreparedGeneration / AdoptPreparedGeneration (BFS Sharing).
-  virtual bool SupportsPreparedGenerations() const { return false; }
-
-  /// Builds, without touching this instance's mutable state, the artifact
-  /// PrepareForNextQuery(seed) would install — bit-identical by contract.
-  /// Must be safe to call from a background thread while this instance
-  /// concurrently serves queries (it may only read construction-time
-  /// immutable state: the graph and the options). Default: NotSupported.
-  virtual Result<std::unique_ptr<PreparedGeneration>> BuildPreparedGeneration(
-      uint64_t seed) const;
-
-  /// Installs a generation built by BuildPreparedGeneration on *any* replica
-  /// bound to the same graph and options (replicas are interchangeable).
-  /// Serving-thread only, like PrepareForNextQuery. Default: NotSupported.
-  virtual Status AdoptPreparedGeneration(
-      std::unique_ptr<PreparedGeneration> generation);
 
   /// True when a *prepared* replica can hand its per-query prepared state
   /// to sibling replicas in O(1) (BFS Sharing: the freshly resampled

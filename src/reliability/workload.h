@@ -117,10 +117,6 @@ struct WorkloadResult {
   /// every kind (s-t via EstimateResult; sweeps and distance via the
   /// MemoryTracker plumbed through EstimateOptions::memory).
   size_t peak_memory_bytes = 0;
-  /// The answer was derived from a TTL-expired sweep served inside the
-  /// stale-while-revalidate window (engine sweep path only; DispatchWorkload
-  /// never sets it).
-  bool served_stale = false;
 };
 
 /// \brief Derives a sweep-kind query's answer from an already-computed

@@ -72,8 +72,8 @@ class ScopedFaultPlan {
 };
 
 /// Deterministic mixed workload touching every kind (st, top-k,
-/// reliable-set, distance) with repeated sources so coalescing, the sweep
-/// cache, and the scout pass all engage.
+/// reliable-set, distance) with repeated sources so coalescing and the sweep
+/// cache engage.
 std::vector<EngineQuery> ChaosBatch(const UncertainGraph& graph, size_t n) {
   std::vector<EngineQuery> queries;
   const NodeId nodes = graph.num_nodes();

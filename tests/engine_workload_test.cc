@@ -236,16 +236,11 @@ TEST(EngineWorkloadTest, CacheKeysIsolateWorkloadKinds) {
   const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
   EXPECT_EQ(snapshot.executed, queries.size());
   EXPECT_EQ(engine->cache()->Stats().hits, queries.size());
-  // Exactly one EstimateFromSource ran for source 0's sweep — led either by
-  // the warm-ahead scout (source 0 appears twice among the sweep kinds, so
-  // the scout pass warms it) or by the first sweep-kind query; the other
-  // sweep queries derived from the memo or the in-flight sweep. The
-  // arithmetic: each of the two sweep queries resolved as a hit/coalesced
-  // share unless it led the sweep itself, and a scout-led sweep adds one
-  // scout_warms to account for the leaderless execution.
+  // Exactly one EstimateFromSource ran for source 0's sweep, led by the
+  // first sweep-kind query; the other sweep query derived from the memo or
+  // the in-flight sweep.
   EXPECT_EQ(snapshot.sweep_executed, 1u);
-  EXPECT_EQ(snapshot.sweep_hits + snapshot.sweep_coalesced,
-            1u + snapshot.scout_warms);
+  EXPECT_EQ(snapshot.sweep_hits + snapshot.sweep_coalesced, 1u);
 }
 
 TEST(EngineWorkloadTest, StaleUnusedFieldsDoNotChangeQueryIdentity) {

@@ -255,10 +255,6 @@ TEST(EngineScrapeTest, OneScrapeReportsEveryLegacyStatsField) {
             snapshot.strata_executed);
   EXPECT_EQ(registry.GetCounter("engine_strata_stolen_total")->Value(),
             snapshot.strata_stolen);
-  EXPECT_EQ(registry.GetCounter("engine_scout_warms_total")->Value(),
-            snapshot.scout_warms);
-  EXPECT_EQ(registry.GetCounter("engine_prebuilt_used_total")->Value(),
-            snapshot.prebuilt_used);
   EXPECT_EQ(
       registry.GetCounter("engine_queries_total", "workload", "st")->Value(),
       snapshot.queries_of(WorkloadKind::kSt));
@@ -274,9 +270,9 @@ TEST(EngineScrapeTest, OneScrapeReportsEveryLegacyStatsField) {
             snapshot.cache.misses);
   EXPECT_EQ(registry.GetCounter("sweep_cache_hits_total")->Value(),
             snapshot.sweep_cache.hits);
-  // Every query rode the pool once (scout warm tasks may add more), and the
-  // executed ones went through cache probe + stratum + publish.
-  EXPECT_GE(registry.GetHistogram("engine_stage_latency_ns", "stage",
+  // Every query rode the pool exactly once, and the executed ones went
+  // through cache probe + stratum + publish.
+  EXPECT_EQ(registry.GetHistogram("engine_stage_latency_ns", "stage",
                                   "queue_wait")
                 ->Snapshot()
                 .count,

@@ -185,8 +185,8 @@ TEST(EngineTraceTest, SpanTreesAreWellFormedAtEveryThreadCount) {
     ASSERT_FALSE(spans.empty());
 
     // Group by query and index by span id; then every query's tree must have
-    // exactly one root (kQuery, or kScout for warm-ahead sweeps), every
-    // child must point at a resident parent, and time must be sane.
+    // exactly one root (kQuery), every child must point at a resident
+    // parent, and time must be sane.
     std::map<uint64_t, std::map<uint32_t, TraceSpan>> by_query;
     for (const TraceSpan& span : spans) {
       by_query[span.query_id][span.span_id] = span;
@@ -199,9 +199,7 @@ TEST(EngineTraceTest, SpanTreesAreWellFormedAtEveryThreadCount) {
             << "query " << query_id << " span " << span_id;
         if (span.parent_id == TraceBuffer::kNone) {
           ++roots;
-          EXPECT_TRUE(span.kind == SpanKind::kQuery ||
-                      span.kind == SpanKind::kScout)
-              << "query " << query_id;
+          EXPECT_EQ(span.kind, SpanKind::kQuery) << "query " << query_id;
         } else {
           ASSERT_TRUE(tree.count(span.parent_id) != 0)
               << "query " << query_id << " span " << span_id

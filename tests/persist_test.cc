@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
+#include "common/wire.h"
 #include "engine/query_engine.h"
 #include "graph/graph_io.h"
 #include "persist/journal.h"
@@ -491,6 +492,79 @@ TEST(PersistRestart, JournalFromOtherSeedIsSkippedNotServed) {
   Result<std::vector<EngineResult>> results = engine.value()->RunBatch(queries);
   ASSERT_TRUE(results.ok()) << results.status();
   EXPECT_FALSE((*results)[0].cache_hit);
+}
+
+/// One sweep record in the engine's journal layout: estimator kind, source,
+/// sample budget, sweep seed, TTL seconds, vector length, vector values.
+std::string SweepRecord(const SweepCacheExport& entry, double ttl_seconds) {
+  std::string out;
+  WireWriter writer(&out);
+  writer.PutU8(static_cast<uint8_t>(entry.key.kind));
+  writer.PutU32(entry.key.source);
+  writer.PutU32(entry.key.num_samples);
+  writer.PutU64(entry.key.seed);
+  writer.PutF64(ttl_seconds);
+  writer.PutU64(entry.sweep->size());
+  for (const double v : *entry.sweep) writer.PutF64(v);
+  return out;
+}
+
+TEST(PersistRestart, SweepRecordWithTtlStillReplays) {
+  // Older engines journaled speculatively warmed sweeps with a positive TTL.
+  // Such a record still replays and serves bit-identical answers; a record
+  // whose TTL is not a finite, non-negative number is refused as malformed.
+  ScratchDir dir("relcomp_persist_sweep_ttl");
+  const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
+  const std::vector<EngineQuery> queries = {EngineQuery::TopK(1, 4),
+                                            EngineQuery::TopK(1, 2),
+                                            EngineQuery::ReliableSet(1, 0.05)};
+
+  EngineOptions fresh_options = PersistEngineOptions("", 2);
+  fresh_options.persist_dir.clear();
+  Result<std::unique_ptr<QueryEngine>> fresh =
+      QueryEngine::Create(graph, fresh_options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  Result<std::vector<EngineResult>> reference =
+      fresh.value()->RunBatch(queries);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  const std::vector<SweepCacheExport> sweeps =
+      fresh.value()->sweep_cache()->ExportEntries();
+  ASSERT_EQ(sweeps.size(), 1u);
+
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE(threads);
+    {
+      Result<std::unique_ptr<PersistentStore>> store =
+          PersistentStore::Open(dir.path(), nullptr);
+      ASSERT_TRUE(store.ok()) << store.status();
+      ASSERT_TRUE(store.value()->ResetJournal().ok());
+      ASSERT_TRUE(store.value()
+                      ->AppendWarm(kJournalRecordSweep,
+                                   SweepRecord(sweeps[0], /*ttl=*/30.0))
+                      .ok());
+      ASSERT_TRUE(store.value()
+                      ->AppendWarm(kJournalRecordSweep,
+                                   SweepRecord(sweeps[0], /*ttl=*/-1.0))
+                      .ok());
+      ASSERT_TRUE(store.value()->SyncJournal().ok());
+    }
+    Result<std::unique_ptr<QueryEngine>> restarted =
+        QueryEngine::Create(graph, PersistEngineOptions(dir.path(), threads));
+    ASSERT_TRUE(restarted.ok()) << restarted.status();
+    const auto& report = restarted.value()->warm_restore_report();
+    EXPECT_EQ(report.sweep_entries, 1u);
+    EXPECT_EQ(report.skipped, 1u);
+
+    Result<std::vector<EngineResult>> results =
+        restarted.value()->RunBatch(queries);
+    ASSERT_TRUE(results.ok()) << results.status();
+    ASSERT_EQ(results->size(), reference->size());
+    for (size_t i = 0; i < results->size(); ++i) {
+      ExpectBitIdentical((*reference)[i], (*results)[i]);
+    }
+    // Every answer derived from the restored sweep; none ran its own.
+    EXPECT_EQ(restarted.value()->StatsSnapshot().sweep_executed, 0u);
+  }
 }
 
 TEST(PersistRestart, CrashedPublishAtCreateDegradesToRebuild) {

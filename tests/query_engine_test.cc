@@ -388,6 +388,37 @@ TEST(QueryEngineTest, StatsTrackThroughputAndLatency) {
   EXPECT_EQ(engine->StatsSnapshot().queries, 0u);
 }
 
+TEST(QueryEngineTest, EstimateStageCountsComputedStAndDistanceQueries) {
+  // The `estimate` stage times every s-t and distance estimator call, and
+  // nothing else: sweep kinds are timed by their stratum stages, and cache
+  // hits and coalesced twins never reach an estimator.
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 43);
+  auto engine =
+      QueryEngine::Create(graph, BaseOptions(4, EstimatorKind::kMonteCarlo))
+          .MoveValue();
+  const std::vector<EngineQuery> queries = {
+      EngineQuery::St(0, 5),          EngineQuery::St(1, 7),
+      EngineQuery::Distance(2, 9, 3), EngineQuery::TopK(3, 4),
+      EngineQuery::ReliableSet(3, 0.2), EngineQuery::St(0, 5),
+      EngineQuery::Distance(2, 9, 3)};
+  uint64_t computed = 0;
+  for (int round = 0; round < 2; ++round) {  // the second round is all hits
+    for (const EngineResult& r : engine->RunBatch(queries).MoveValue()) {
+      ASSERT_TRUE(r.ok()) << r.status;
+      if (!IsSweepWorkload(r.query.workload) && !r.cache_hit &&
+          !r.coalesced) {
+        ++computed;
+      }
+    }
+  }
+  EXPECT_EQ(computed, 3u);  // (0, 5), (1, 7) and one distance query
+  EXPECT_EQ(engine->metrics()
+                .GetHistogram("engine_stage_latency_ns", "stage", "estimate")
+                ->Snapshot()
+                .count,
+            computed);
+}
+
 TEST(QueryEngineTest, ConcurrentClientsShareOneEngine) {
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 41);
   const std::vector<ReliabilityQuery> queries = AllPairsWorkload(graph, 30);

@@ -2,9 +2,8 @@
 // the MC and BFS Sharing stratified cores (stratum merges bit-identical to
 // serial stratified calls; BFS Sharing slice-invariance), the engine's
 // stratum scheduler (bit-identical at 1/2/8 threads x S in {1, 4, 16},
-// stealing-vs-blocking parity, steal counters), the warm-ahead scout pass
-// (deterministic on/off, counted), stratified-vs-unstratified accuracy, and
-// the multi-threaded byte-budgeted generation prebuilder.
+// stealing-vs-blocking parity, steal counters), shared prepared state, and
+// stratified-vs-unstratified accuracy.
 
 #include <cstring>
 #include <thread>
@@ -12,8 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
 #include "common/rng.h"
-#include "engine/generation_prebuilder.h"
 #include "engine/query_engine.h"
 #include "reliability/bfs_sharing.h"
 #include "reliability/mc_sampling.h"
@@ -194,8 +193,8 @@ std::vector<EngineQuery> HotSourceMix(NodeId source, uint32_t queries) {
 
 TEST(StratifiedSweepTest, EngineBitIdenticalAcrossThreadsAndSchedulers) {
   // The acceptance matrix: threads in {1, 2, 8} x S in {1, 4, 16} x
-  // stealing-vs-blocking (coalescing on/off) x scout on/off — every config
-  // bit-identical to the 1-thread serial reference *for the same S*.
+  // stealing-vs-blocking (coalescing on/off) — every config bit-identical
+  // to the 1-thread serial reference *for the same S*.
   const UncertainGraph graph = RandomSmallGraph(24, 70, 0.3, 0.9, 75);
   std::vector<EngineQuery> queries = HotSourceMix(2, 6);
   const std::vector<EngineQuery> second_source = HotSourceMix(11, 4);
@@ -210,7 +209,6 @@ TEST(StratifiedSweepTest, EngineBitIdenticalAcrossThreadsAndSchedulers) {
       SCOPED_TRACE(strata);
       EngineOptions reference_options = BaseOptions(1, kind, strata);
       reference_options.enable_coalescing = false;
-      reference_options.enable_sweep_scout = false;
       auto reference_engine =
           QueryEngine::Create(graph, reference_options).MoveValue();
       const std::vector<EngineResult> reference =
@@ -219,17 +217,12 @@ TEST(StratifiedSweepTest, EngineBitIdenticalAcrossThreadsAndSchedulers) {
 
       for (const size_t threads : {1u, 2u, 8u}) {
         for (const bool coalescing : {true, false}) {
-          for (const bool scout : {true, false}) {
-            SCOPED_TRACE(threads);
-            SCOPED_TRACE(coalescing);
-            SCOPED_TRACE(scout);
-            EngineOptions options = BaseOptions(threads, kind, strata);
-            options.enable_coalescing = coalescing;
-            options.enable_sweep_scout = scout;
-            auto engine = QueryEngine::Create(graph, options).MoveValue();
-            ExpectBitIdentical(reference,
-                               engine->RunBatch(queries).MoveValue());
-          }
+          SCOPED_TRACE(threads);
+          SCOPED_TRACE(coalescing);
+          EngineOptions options = BaseOptions(threads, kind, strata);
+          options.enable_coalescing = coalescing;
+          auto engine = QueryEngine::Create(graph, options).MoveValue();
+          ExpectBitIdentical(reference, engine->RunBatch(queries).MoveValue());
         }
       }
     }
@@ -261,12 +254,24 @@ TEST(StratifiedSweepTest, BfsSharingSweepsIgnoreStratumCount) {
 TEST(StratifiedSweepTest, StrataAreCountedAndStolenUnderConcurrency) {
   const UncertainGraph graph = RandomSmallGraph(40, 150, 0.3, 0.9, 77);
   EngineOptions options = BaseOptions(8, EstimatorKind::kMonteCarlo, 16);
-  options.num_samples = 2000;   // a sweep heavy enough to overlap claims
+  options.num_samples = 2000;
   options.enable_cache = false;
-  options.enable_sweep_scout = false;  // isolate query-driven stealing
+  // A sweep heavy enough to overlap claims: every claimed stratum sleeps
+  // 2 ms first (induced latency changes no answer), so the leader cannot
+  // drain all 16 strata before the other workers join its flight. Without
+  // it a stratum of this small graph runs in microseconds and the leader
+  // often finishes alone.
+  FaultPlan plan;
+  plan.probability[static_cast<size_t>(FaultSite::kInducedLatency)] = 1.0;
+  plan.latency_us = 2000;
+  FaultInjector::Global().Configure(plan);
+  struct InjectorGuard {
+    ~InjectorGuard() { FaultInjector::Global().Disable(); }
+  } guard;
   auto engine = QueryEngine::Create(graph, options).MoveValue();
   const std::vector<EngineResult> results =
       engine->RunBatch(HotSourceMix(1, 16)).MoveValue();
+  FaultInjector::Global().Disable();
   for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
   const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
   // One sweep, all 16 strata executed through the scheduler.
@@ -280,58 +285,6 @@ TEST(StratifiedSweepTest, StrataAreCountedAndStolenUnderConcurrency) {
     // at least one of the 16 strata instead of all blocking.
     EXPECT_GT(snapshot.strata_stolen, 0u);
   }
-}
-
-TEST(StratifiedSweepTest, ScoutWarmsHotBatchSourcesDeterministically) {
-  const UncertainGraph graph = RandomSmallGraph(24, 70, 0.3, 0.9, 78);
-  // Source 6 is hot (5 parameterizations), source 13 appears once (below
-  // the scout threshold), plus st noise.
-  std::vector<EngineQuery> queries = HotSourceMix(6, 5);
-  queries.push_back(EngineQuery::TopK(13, 3));
-  queries.push_back(EngineQuery::St(0, 9));
-
-  // 1 worker makes the scout's lead deterministic: its warm task is queued
-  // ahead of every query task, so it always wins the sweep's single-flight.
-  EngineOptions options = BaseOptions(1, EstimatorKind::kMonteCarlo, 4);
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
-  const std::vector<EngineResult> results =
-      engine->RunBatch(queries).MoveValue();
-  for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  EXPECT_EQ(snapshot.scout_warms, 1u);       // source 6 only
-  EXPECT_EQ(snapshot.sweep_executed, 2u);    // scout(6) + query-led (13)
-  // Every source-6 query derived from the scout's memoized vector.
-  EXPECT_EQ(snapshot.sweep_hits, 5u);
-
-  // Scout off: same answers (the scout only changes who computes).
-  EngineOptions off = options;
-  off.enable_sweep_scout = false;
-  auto engine_off = QueryEngine::Create(graph, off).MoveValue();
-  ExpectBitIdentical(results, engine_off->RunBatch(queries).MoveValue());
-  EXPECT_EQ(engine_off->StatsSnapshot().scout_warms, 0u);
-}
-
-TEST(StratifiedSweepTest, StreamScoutsRepeatedSourcesPerCycle) {
-  const UncertainGraph graph = RandomSmallGraph(24, 70, 0.3, 0.9, 79);
-  EngineOptions options = BaseOptions(1, EstimatorKind::kMonteCarlo, 4);
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
-  // Second submission of source 9 in the cycle triggers the stream scout.
-  ASSERT_TRUE(engine->Submit(EngineQuery::TopK(9, 2)).ok());
-  ASSERT_TRUE(engine->Submit(EngineQuery::TopK(9, 7)).ok());
-  ASSERT_TRUE(engine->Submit(EngineQuery::ReliableSet(9, 0.4)).ok());
-  const std::vector<EngineResult> first = engine->Drain().MoveValue();
-  for (const EngineResult& r : first) ASSERT_TRUE(r.ok()) << r.status;
-  EXPECT_LE(engine->StatsSnapshot().sweep_executed, 2u);
-
-  // Batch twin answers bit-identically (stream scouting is invisible too).
-  auto batch_engine = QueryEngine::Create(graph, options).MoveValue();
-  const std::vector<EngineResult> batch =
-      batch_engine
-          ->RunBatch(std::vector<EngineQuery>{EngineQuery::TopK(9, 2),
-                                              EngineQuery::TopK(9, 7),
-                                              EngineQuery::ReliableSet(9, 0.4)})
-          .MoveValue();
-  ExpectBitIdentical(first, batch);
 }
 
 TEST(StratifiedSweepTest, StratifiedMcMatchesUnstratifiedWithinTolerance) {
@@ -390,7 +343,7 @@ TEST(StratifiedSweepTest, SharedPreparedStateReproducesSweepBitwise) {
   ASSERT_TRUE(thief->SupportsSharedPreparedState());
   std::shared_ptr<const PreparedGeneration> state =
       leader->ShareCurrentPreparedState().MoveValue();
-  EXPECT_GT(state->MemoryBytes(), 0u);
+  ASSERT_NE(state, nullptr);
   ASSERT_TRUE(thief->AdoptSharedPreparedState(state).ok());
   // Literally the same generation object, not a bit-identical rebuild.
   EXPECT_EQ(thief->SharedIndexIdentity(), leader->SharedIndexIdentity());
@@ -413,10 +366,9 @@ TEST(StratifiedSweepTest, SharedPreparedStateReproducesSweepBitwise) {
 }
 
 TEST(StratifiedSweepTest, FlightPeakMemoryReachesEveryParticipant) {
-  // Every flight participant — the leader and any joiner, including when
-  // the warm-ahead scout led the flight — reports the sweep's tracked
-  // working-set peak, not just its own derivation scan (PR 4 contract:
-  // sweep queries report the sweep's footprint). Sweep cache off forces
+  // Every flight participant — the leader and any joiner — reports the
+  // sweep's tracked working-set peak, not just its own derivation scan
+  // (sweep queries report the sweep's footprint). Sweep cache off forces
   // every query through a flight (no memo hits), so at least the flight
   // leaders carry the full peak whatever the thread interleaving.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 84);
@@ -431,62 +383,6 @@ TEST(StratifiedSweepTest, FlightPeakMemoryReachesEveryParticipant) {
   // 3 x uint32 per node) exceeds the bare derivation scan (n doubles).
   const size_t derive_only = graph.num_nodes() * sizeof(double);
   EXPECT_GT(engine->StatsSnapshot().peak_memory_bytes, derive_only);
-}
-
-TEST(StratifiedSweepTest, PrebuilderFansSeedsAcrossBuilders) {
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 81);
-  BfsSharingOptions bfs;
-  bfs.index_samples = 64;
-  auto estimator = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  GenerationPrebuilder prebuilder(*estimator, /*max_pending=*/8,
-                                  /*num_builders=*/3);
-  EXPECT_EQ(prebuilder.num_builders(), 3u);
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    EXPECT_TRUE(prebuilder.Request(seed));
-  }
-  while (prebuilder.Stats().built < 6) std::this_thread::yield();
-  // Every seed built exactly once and adoptable; the ready pool accounts
-  // index-sized bytes until the takes drain it.
-  EXPECT_GT(prebuilder.ReadyBytes(), 0u);
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    std::unique_ptr<PreparedGeneration> generation = prebuilder.Take(seed);
-    ASSERT_NE(generation, nullptr) << "seed " << seed;
-    EXPECT_GT(generation->MemoryBytes(), 0u);
-  }
-  EXPECT_EQ(prebuilder.ReadyBytes(), 0u);
-  EXPECT_EQ(prebuilder.Stats().taken, 6u);
-}
-
-TEST(StratifiedSweepTest, PrebuilderHonorsReadyPoolByteBudget) {
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 82);
-  BfsSharingOptions bfs;
-  bfs.index_samples = 64;
-  auto estimator = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  const size_t one_generation =
-      estimator->BuildPreparedGeneration(1).MoveValue()->MemoryBytes();
-  ASSERT_GT(one_generation, 0u);
-  // Budget for ~1.5 generations: the pool may hold one ready generation,
-  // never two; older ones are evicted as new builds land.
-  GenerationPrebuilder prebuilder(*estimator, /*max_pending=*/8,
-                                  /*num_builders=*/1,
-                                  /*max_ready_bytes=*/one_generation * 3 / 2);
-  EXPECT_TRUE(prebuilder.Request(10));
-  EXPECT_TRUE(prebuilder.Request(11));
-  EXPECT_TRUE(prebuilder.Request(12));
-  while (prebuilder.Stats().built < 3) std::this_thread::yield();
-  const GenerationPrebuilderStats stats = prebuilder.Stats();
-  EXPECT_GE(stats.evicted, 2u);
-  EXPECT_LE(stats.ready_bytes, one_generation * 3 / 2);
-  // The newest generation survived the byte evictions.
-  EXPECT_NE(prebuilder.Take(12), nullptr);
-}
-
-TEST(StratifiedSweepTest, IndexMemoryReportCountsPrebuiltPool) {
-  IndexMemoryReport report;
-  report.shared_bytes = 100;
-  report.replica_bytes = 10;
-  report.prebuilt_bytes = 50;
-  EXPECT_EQ(report.total_bytes(), 160u);
 }
 
 }  // namespace

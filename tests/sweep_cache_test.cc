@@ -2,9 +2,7 @@
 // and the byte-budget admission of the result cache: LRU-by-bytes eviction,
 // oversized-entry rejection, and stats accounting.
 
-#include <chrono>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,8 +29,10 @@ std::shared_ptr<const std::vector<double>> Sweep(size_t n, double fill) {
 TEST(SweepCacheTest, LookupReturnsInsertedVectorByIdentity) {
   SweepCache cache(1 << 20);
   EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
+  EXPECT_FALSE(cache.Contains(Key(1)));
   auto sweep = Sweep(64, 0.5);
   cache.Insert(Key(1), sweep);
+  EXPECT_TRUE(cache.Contains(Key(1)));  // a pure probe: no stats, no recency
   const auto hit = cache.Lookup(Key(1));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit.get(), sweep.get());  // shared, not copied
@@ -133,76 +133,6 @@ TEST(SweepCacheTest, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(cache.bytes_in_use(), 0u);
   EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
   EXPECT_EQ(cache.Stats().hits, 1u);  // counters survive Clear
-}
-
-// ---------------------------------------------------------------------------
-// TTL'd warm entries (scout-warmed sweeps)
-// ---------------------------------------------------------------------------
-
-// Long enough that a test never crosses it, short enough to be a real TTL.
-constexpr double kLongTtl = 3600.0;
-// Already in the past by the time any later call reads the clock.
-constexpr double kExpiredTtl = 1e-9;
-
-TEST(SweepCacheTtlTest, WarmEntryServesWhileLive) {
-  SweepCache cache(1 << 20);
-  cache.Insert(Key(1), Sweep(16, 0.5), kLongTtl);
-  EXPECT_TRUE(cache.Contains(Key(1)));
-  const auto hit = cache.Lookup(Key(1));
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(cache.Stats().expired, 0u);
-}
-
-TEST(SweepCacheTtlTest, ExpiredWarmIsAbsentAndReapedOnLookup) {
-  SweepCache cache(1 << 20);
-  cache.Insert(Key(1), Sweep(16, 0.5), kExpiredTtl);
-  // Contains is a pure probe: reports absent, reaps nothing.
-  EXPECT_FALSE(cache.Contains(Key(1)));
-  EXPECT_EQ(cache.size(), 1u);
-  // Lookup reaps: miss, expired counter, bytes released.
-  EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.bytes_in_use(), 0u);
-  const SweepCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.expired, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 0u);
-  // A reaped warm never counts as an eviction (that's byte pressure).
-  EXPECT_EQ(stats.evictions, 0u);
-}
-
-TEST(SweepCacheTtlTest, HitPromotesWarmToImmortal) {
-  SweepCache cache(1 << 20);
-  cache.Insert(Key(1), Sweep(16, 0.5), /*ttl_seconds=*/0.1);
-  // A consumer arrives while the warm is live: the hit promotes it.
-  ASSERT_NE(cache.Lookup(Key(1)), nullptr);
-  // Outlive the original deadline — a promoted entry no longer expires.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_TRUE(cache.Contains(Key(1)));
-  ASSERT_NE(cache.Lookup(Key(1)), nullptr);
-  EXPECT_EQ(cache.Stats().expired, 0u);
-  EXPECT_EQ(cache.Stats().hits, 2u);
-}
-
-TEST(SweepCacheTtlTest, ReinsertAppliesNewTtl) {
-  SweepCache cache(1 << 20);
-  // Immortal entry demoted to an expired warm by a re-insert.
-  cache.Insert(Key(1), Sweep(16, 0.5));
-  cache.Insert(Key(1), Sweep(16, 0.5), kExpiredTtl);
-  EXPECT_FALSE(cache.Contains(Key(1)));
-  // Expired warm resurrected by a query-led (TTL-less) re-insert.
-  cache.Insert(Key(2), Sweep(16, 0.5), kExpiredTtl);
-  cache.Insert(Key(2), Sweep(16, 0.5));
-  EXPECT_TRUE(cache.Contains(Key(2)));
-  ASSERT_NE(cache.Lookup(Key(2)), nullptr);
-}
-
-TEST(SweepCacheTtlTest, ImmortalDefaultNeverExpires) {
-  SweepCache cache(1 << 20);
-  cache.Insert(Key(1), Sweep(16, 0.5));  // ttl_seconds = 0: pre-TTL behavior
-  EXPECT_TRUE(cache.Contains(Key(1)));
-  ASSERT_NE(cache.Lookup(Key(1)), nullptr);
-  EXPECT_EQ(cache.Stats().expired, 0u);
 }
 
 // ---------------------------------------------------------------------------
