@@ -316,7 +316,7 @@ int main(int argc, char** argv) {
     std::printf(
         "[stats] queries=%llu qps=%.0f p50=%.2fms p99=%.2fms cache=%.0f%% "
         "sweeps x/h/c=%llu/%llu/%llu shed=%llu retried=%llu dropped=%llu "
-        "deadline=%llu stale=%llu slow=%llu\n",
+        "deadline=%llu slow=%llu\n",
         static_cast<unsigned long long>(s.queries), s.span_qps, s.p50_ms,
         s.p99_ms, s.cache.hit_rate() * 100.0,
         static_cast<unsigned long long>(s.sweep_executed),
@@ -326,7 +326,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(retried_counter->Value()),
         static_cast<unsigned long long>(dropped_counter->Value()),
         static_cast<unsigned long long>(s.deadline_exceeded),
-        static_cast<unsigned long long>(s.stale_served),
         static_cast<unsigned long long>(engine->tracer().slow_queries()));
   }
   std::printf("\nreplayed %zu requests over %zu distinct queries\n\n",
@@ -365,12 +364,11 @@ int main(int argc, char** argv) {
       snapshot.sweep_p50_ms, snapshot.sweep_p95_ms);
   std::printf(
       "fault tolerance: %llu shed at admission, %llu client retries, %llu "
-      "dropped after backoff, %llu deadline-exceeded, %llu stale served\n",
+      "dropped after backoff, %llu deadline-exceeded\n",
       static_cast<unsigned long long>(snapshot.shed),
       static_cast<unsigned long long>(retried_counter->Value()),
       static_cast<unsigned long long>(dropped_counter->Value()),
-      static_cast<unsigned long long>(snapshot.deadline_exceeded),
-      static_cast<unsigned long long>(snapshot.stale_served));
+      static_cast<unsigned long long>(snapshot.deadline_exceeded));
 
   // Span trees of the slowest requests (only when --slow-query-ms armed the
   // tracer).

@@ -29,7 +29,6 @@ EngineStats::EngineStats(obs::MetricsRegistry* registry) {
       registry_->GetCounter("engine_shed_total", "reason", "overload");
   deadline_exceeded_ =
       registry_->GetCounter("engine_deadline_exceeded_total");
-  stale_served_ = registry_->GetCounter("engine_stale_served_total");
   for (size_t i = 0; i < kNumFaultSites; ++i) {
     fault_injected_[i] =
         registry_->GetGauge("fault_injected_total", "site",
@@ -77,8 +76,6 @@ void EngineStats::RecordShed(const char* reason) {
 }
 
 void EngineStats::RecordDeadlineExceeded() { deadline_exceeded_->Inc(); }
-
-void EngineStats::RecordStaleServed() { stale_served_->Inc(); }
 
 void EngineStats::RecordSweepExecuted() { sweep_executed_->Inc(); }
 
@@ -136,7 +133,6 @@ EngineStatsSnapshot EngineStats::Snapshot(const ResultCache* cache,
   snapshot.failures = failures_->Value();
   snapshot.shed = shed_queue_full_->Value() + shed_overload_->Value();
   snapshot.deadline_exceeded = deadline_exceeded_->Value();
-  snapshot.stale_served = stale_served_->Value();
   {
     FaultInjector& injector = FaultInjector::Global();
     uint64_t total = 0;
@@ -196,7 +192,6 @@ void EngineStats::Reset() {
   shed_queue_full_->Reset();
   shed_overload_->Reset();
   deadline_exceeded_->Reset();
-  stale_served_->Reset();
   for (obs::Counter* counter : workload_queries_) counter->Reset();
   sweep_executed_->Reset();
   sweep_hits_->Reset();

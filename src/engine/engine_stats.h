@@ -46,9 +46,6 @@ struct EngineStatsSnapshot {
   /// Queries that missed their deadline or were cancelled (these DO count:
   /// they are a subset of `failures`).
   uint64_t deadline_exceeded = 0;
-  /// Queries answered from a TTL-expired result-cache entry inside the
-  /// stale window (a subset of the cache hits).
-  uint64_t stale_served = 0;
   /// Faults injected by the active FaultInjector plan (all sites summed;
   /// zero in production where the injector is disabled).
   uint64_t faults_injected = 0;
@@ -166,9 +163,6 @@ class EngineStats {
   /// CancelToken fired (called alongside RecordFailure).
   void RecordDeadlineExceeded();
 
-  /// Records one query answered stale (called alongside RecordCacheHit).
-  void RecordStaleServed();
-
   /// Classifies how one executed sweep-kind query obtained its per-source
   /// vector (called alongside RecordExecuted, at most once per query).
   void RecordSweepExecuted();
@@ -223,7 +217,6 @@ class EngineStats {
   obs::Counter* shed_queue_full_;
   obs::Counter* shed_overload_;
   obs::Counter* deadline_exceeded_;
-  obs::Counter* stale_served_;
   obs::Counter* workload_queries_[kNumWorkloadKinds];
   obs::Counter* sweep_executed_;
   obs::Counter* sweep_hits_;

@@ -88,18 +88,22 @@ std::string EncodeSweepRecord(const SweepCacheExport& entry) {
   writer.PutU32(entry.key.source);
   writer.PutU32(entry.key.num_samples);
   writer.PutU64(entry.key.seed);
-  // Sweep entries never expire. The TTL field stays in the record layout
-  // (written as 0) so journals from any version of the engine replay.
+  // Exported entries carry no deadline. The TTL field stays in the record
+  // layout (written as 0) so journals from any version of the engine replay.
   writer.PutF64(0.0);
-  writer.PutU64(entry.sweep->size());
-  for (const double v : *entry.sweep) writer.PutF64(v);
+  writer.PutU64(entry.value->size());
+  for (const double v : *entry.value) writer.PutF64(v);
   return out;
 }
 
-/// A sweep record's TTL is read and validated but not applied: a restored
-/// sweep is immortal like every other sweep-cache entry. Older journals may
-/// carry a positive TTL; it only ever shortened an entry's life, and the
-/// payload is content-derived, so serving it longer changes no answer.
+/// A record's TTL is read and validated but not applied: a restored entry is
+/// immortal like every other exported entry. Older journals may carry a
+/// positive TTL; it only ever shortened an entry's life, and the payload is
+/// content-derived, so serving it longer changes no answer.
+bool ValidRecordTtl(double ttl_seconds) {
+  return std::isfinite(ttl_seconds) && ttl_seconds >= 0.0;
+}
+
 bool DecodeSweepRecord(const std::string& payload, SweepCacheKey* key,
                        std::vector<double>* sweep) {
   WireReader reader(payload.data(), payload.size());
@@ -111,7 +115,7 @@ bool DecodeSweepRecord(const std::string& payload, SweepCacheKey* key,
       !reader.ReadF64(&ttl_seconds) || !reader.ReadU64(&n)) {
     return false;
   }
-  if (!std::isfinite(ttl_seconds) || ttl_seconds < 0.0) return false;
+  if (!ValidRecordTtl(ttl_seconds)) return false;
   key->kind = static_cast<EstimatorKind>(kind);
   if (n != reader.remaining() / sizeof(double) ||
       reader.remaining() % sizeof(double) != 0) {
@@ -137,7 +141,7 @@ std::string EncodeResultRecord(const ResultCacheExport& entry) {
   writer.PutU8(static_cast<uint8_t>(entry.key.kind));
   writer.PutU32(entry.key.num_samples);
   writer.PutU64(entry.key.seed);
-  writer.PutF64(entry.ttl_seconds);
+  writer.PutF64(0.0);  // TTL, as in EncodeSweepRecord
   writer.PutF64(entry.value.reliability);
   writer.PutU32(entry.value.num_samples);
   writer.PutU64(entry.value.targets.size());
@@ -149,21 +153,24 @@ std::string EncodeResultRecord(const ResultCacheExport& entry) {
 }
 
 bool DecodeResultRecord(const std::string& payload, ResultCacheKey* key,
-                        ResultCacheValue* value, double* ttl_seconds) {
+                        ResultCacheValue* value) {
   WireReader reader(payload.data(), payload.size());
   uint8_t workload = 0;
   uint8_t kind = 0;
+  double ttl_seconds = 0.0;
   uint64_t num_targets = 0;
   if (!reader.ReadU8(&workload) || !reader.ReadU32(&key->query.source) ||
       !reader.ReadU32(&key->query.target) || !reader.ReadU32(&key->query.k) ||
       !reader.ReadF64(&key->query.eta) ||
       !reader.ReadU32(&key->query.max_hops) || !reader.ReadU8(&kind) ||
       !reader.ReadU32(&key->num_samples) || !reader.ReadU64(&key->seed) ||
-      !reader.ReadF64(ttl_seconds) || !reader.ReadF64(&value->reliability) ||
+      !reader.ReadF64(&ttl_seconds) || !reader.ReadF64(&value->reliability) ||
       !reader.ReadU32(&value->num_samples) || !reader.ReadU64(&num_targets)) {
     return false;
   }
-  if (workload >= kNumWorkloadKinds) return false;
+  if (workload >= kNumWorkloadKinds || !ValidRecordTtl(ttl_seconds)) {
+    return false;
+  }
   key->query.workload = static_cast<WorkloadKind>(workload);
   key->kind = static_cast<EstimatorKind>(kind);
   constexpr size_t kTargetBytes = sizeof(uint32_t) + sizeof(double);
@@ -230,18 +237,10 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
     sweep_cache_ = std::make_unique<SweepCache>(options_.sweep_cache_max_bytes,
                                                 registry_.get());
   }
-  // Serving pool: exactly num_threads workers. replicas_ may hold more —
-  // the tail replicas belong to the auxiliary refresh lane below.
   pool_ = std::make_unique<ThreadPool>(
       options_.num_threads, options_.queue_capacity,
       registry_->GetHistogram("engine_stage_latency_ns", "stage",
                               "queue_wait"));
-  const size_t lane_width = RefreshLaneWidth();
-  if (lane_width > 0) {
-    aux_pool_ = std::make_unique<ThreadPool>(lane_width,
-                                             options_.queue_capacity);
-  }
-  refresh_lane_depth_ = registry_->GetGauge("refresh_lane_depth");
   if (store_ != nullptr && options_.persist_flush_seconds > 0.0) {
     flusher_ = std::thread([this] { FlusherLoop(); });
   }
@@ -268,9 +267,8 @@ QueryEngine::~QueryEngine() {
     flusher_cv_.notify_all();
     flusher_.join();
   }
-  if (aux_pool_ != nullptr) aux_pool_->Shutdown();
   pool_->Shutdown();
-  // Clean-shutdown flush: both pools are quiescent, so this captures the
+  // Clean-shutdown flush: the pool is quiescent, so this captures the
   // final warm state (a crash instead simply loses what the last periodic
   // flush missed — never more).
   if (store_ != nullptr) (void)FlushWarmState();
@@ -284,8 +282,10 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   if (opts.num_samples == 0) {
     return Status::InvalidArgument("EngineOptions::num_samples must be > 0");
   }
-  if (opts.cache_ttl < 0.0 || opts.negative_cache_ttl < 0.0) {
-    return Status::InvalidArgument("EngineOptions TTLs must be >= 0");
+  if (!std::isfinite(opts.negative_cache_ttl) ||
+      opts.negative_cache_ttl < 0.0) {
+    return Status::InvalidArgument(
+        "EngineOptions::negative_cache_ttl must be finite and >= 0");
   }
   // The registry exists before anything else so the persistence tier's
   // recovery counters capture the snapshot restore that happens *before*
@@ -310,20 +310,11 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
       store->CountRebuild();
     }
   }
-  // The refresh lane (when engaged) gets its own replicas appended after
-  // the serving set, so background refreshes never touch a serving
-  // worker's replica. Index-carrying kinds still share one index.
-  const size_t lane_width =
-      opts.refresh_lane_threads > 0 &&
-              (opts.max_stale_seconds > 0.0 || store != nullptr)
-          ? opts.refresh_lane_threads
-          : 0;
-  const size_t replica_count = opts.num_threads + lane_width;
   // One shared immutable index for all replicas of an index-carrying kind
   // (built inside the factory), private scratch per replica.
   RELCOMP_ASSIGN_OR_RETURN(
       std::vector<std::unique_ptr<Estimator>> replicas,
-      MakeEstimatorReplicas(opts.kind, graph, replica_count, opts.factory));
+      MakeEstimatorReplicas(opts.kind, graph, opts.num_threads, opts.factory));
   // Routing candidates: the static kind plus plain MC — the cheap,
   // capability-complete baseline every backend is measured against (and the
   // enabler for workloads the static kind cannot answer). Each candidate
@@ -333,7 +324,7 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
     RELCOMP_ASSIGN_OR_RETURN(
         std::vector<std::unique_ptr<Estimator>> mc_replicas,
         MakeEstimatorReplicas(EstimatorKind::kMonteCarlo, graph,
-                              replica_count, opts.factory));
+                              opts.num_threads, opts.factory));
     CandidateReplicas candidate;
     candidate.kind = EstimatorKind::kMonteCarlo;
     candidate.replicas = std::move(mc_replicas);
@@ -361,29 +352,6 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   return engine;
 }
 
-size_t QueryEngine::RefreshLaneWidth() const {
-  // The lane exists only when there is background work to put on it —
-  // stale-while-revalidate refreshes or journal flushes. Without either,
-  // configurations are byte-for-byte the pre-lane engine.
-  return options_.refresh_lane_threads > 0 &&
-                 (options_.max_stale_seconds > 0.0 || store_ != nullptr)
-             ? options_.refresh_lane_threads
-             : 0;
-}
-
-Status QueryEngine::SubmitRefreshTask(ThreadPool::Task task) {
-  if (aux_pool_ == nullptr) return pool_->TrySubmit(std::move(task));
-  refresh_lane_depth_->Add(1.0);
-  Status submitted = aux_pool_->TrySubmit(
-      [this, task = std::move(task)](size_t lane_worker) {
-        // Aux workers run on the appended replicas (never a serving one).
-        task(options_.num_threads + lane_worker);
-        refresh_lane_depth_->Add(-1.0);
-      });
-  if (!submitted.ok()) refresh_lane_depth_->Add(-1.0);
-  return submitted;
-}
-
 void QueryEngine::FlusherLoop() {
   std::unique_lock<std::mutex> lock(flusher_mutex_);
   while (!flusher_stop_) {
@@ -391,12 +359,7 @@ void QueryEngine::FlusherLoop() {
         lock, std::chrono::duration<double>(options_.persist_flush_seconds));
     if (flusher_stop_) break;
     lock.unlock();
-    const Status lane = SubmitRefreshTask([this](size_t) {
-      (void)FlushWarmState();
-    });
-    // Full lane: flush inline on this thread rather than skip the period
-    // (the flusher is itself off the serving pool).
-    if (!lane.ok()) (void)FlushWarmState();
+    (void)FlushWarmState();  // this thread is off the serving pool
     lock.lock();
   }
 }
@@ -476,8 +439,7 @@ void QueryEngine::RestoreWarmState() {
     } else if (record.type == kJournalRecordResult && cache_ != nullptr) {
       ResultCacheKey key;
       ResultCacheValue value;
-      double ttl_seconds = 0.0;
-      if (!DecodeResultRecord(record.payload, &key, &value, &ttl_seconds) ||
+      if (!DecodeResultRecord(record.payload, &key, &value) ||
           !ValidateWorkload(graph_, key.query).ok()) {
         ++warm_report_.skipped;
         continue;
@@ -488,7 +450,7 @@ void QueryEngine::RestoreWarmState() {
         ++warm_report_.skipped;
         continue;
       }
-      cache_->Insert(key, value, ttl_seconds);
+      cache_->Insert(key, std::move(value));
       ++warm_report_.result_entries;
       ++recovered;
     } else {
@@ -698,27 +660,16 @@ bool QueryEngine::TryServeWithoutCompute(
   // error, even to a late caller.
   if (cache_ != nullptr) {
     std::optional<ResultCacheValue> hit;
-    bool stale = false;
-    bool refresh_owner = false;
     {
       StageTimer probe(stage_cache_probe_, trace, obs::SpanKind::kCacheProbe,
                        parent, /*detail=*/0);
-      if (options_.max_stale_seconds > 0.0) {
-        StaleLookupResult swr =
-            cache_->LookupStale(key, options_.max_stale_seconds);
-        hit = std::move(swr.value);
-        stale = swr.stale;
-        refresh_owner = swr.refresh_owner;
-      } else {
-        hit = cache_->Lookup(key);
-      }
+      hit = cache_->Lookup(key);
     }
     if (hit) {
       const bool negative = hit->negative();
       FillFromValue(std::move(*hit), slot);
       slot->seconds = 0.0;
       slot->cache_hit = true;
-      slot->served_stale = stale;
       if (negative) {
         // Failure backoff: the cached error is served without recomputing.
         // Counted as a failure (and as a cache negative_hit), never as a
@@ -727,9 +678,7 @@ bool QueryEngine::TryServeWithoutCompute(
         stats_.RecordFailure(0.0);
       } else {
         stats_.RecordCacheHit();
-        if (stale) stats_.RecordStaleServed();
       }
-      if (refresh_owner) ScheduleResultRefresh(key);
       return true;
     }
   }
@@ -823,7 +772,7 @@ void QueryEngine::PublishToCache(const ResultCacheKey& key,
                                  const ResultCacheValue& value) {
   if (cache_ == nullptr) return;
   if (value.status.ok()) {
-    cache_->Insert(key, value, options_.cache_ttl);
+    cache_->Insert(key, value);
   } else if (options_.negative_cache_ttl > 0.0 &&
              !IsTransientStatusCode(value.status.code())) {
     // Transient outcomes (deadline exceeded, cancelled, shed) describe the
@@ -834,7 +783,7 @@ void QueryEngine::PublishToCache(const ResultCacheKey& key,
     // under the short backoff TTL so the key retries after it elapses.
     ResultCacheValue negative;
     negative.status = value.status;
-    cache_->Insert(key, negative, options_.negative_cache_ttl);
+    cache_->Insert(key, std::move(negative), options_.negative_cache_ttl);
   }
 }
 
@@ -1513,42 +1462,6 @@ Status QueryEngine::AdmitQuery(const EngineQuery& query) {
   return Status::Unavailable(
       StrFormat("query shed (%s): queue depth %zu; retry after ~%.0f ms",
                 reason, depth, retry_after_ms));
-}
-
-void QueryEngine::ScheduleResultRefresh(const ResultCacheKey& key) {
-  // Refreshes ride the dedicated low-priority lane when one exists, so a
-  // stale burst never competes with serving queries for the main pool.
-  const Status submitted = SubmitRefreshTask([this, key](size_t worker_id) {
-    // The plan is recomputed, not trusted from the key: a router may have
-    // drifted since the stale entry was cached. A refresh can only honor
-    // the *same* key it owns — on any mismatch it re-arms the entry and
-    // lets it age out at the stale deadline instead of publishing an
-    // answer under a key it does not match.
-    const QueryPlan plan = PlanFor(key.query);
-    if (plan.kind != key.kind || plan.num_samples != key.num_samples ||
-        SeedForPlan(key.query, plan) != key.seed) {
-      cache_->ClearRefreshPending(key);
-      return;
-    }
-    Result<WorkloadResult> result =
-        ComputeWorkload(worker_id, key.query, plan, key.seed,
-                        /*cancel=*/nullptr, /*trace=*/nullptr,
-                        obs::TraceBuffer::kNone);
-    if (!result.ok()) {
-      // A failed refresh must not mask the still-servable stale answer (and
-      // transient failures must not be cached at all): re-arm so a later
-      // stale hit elects a new owner.
-      cache_->ClearRefreshPending(key);
-      return;
-    }
-    ResultCacheValue value;
-    value.reliability = result->reliability;
-    value.num_samples = result->num_samples;
-    value.targets = std::move(result->targets);
-    cache_->Insert(key, value, options_.cache_ttl);
-  });
-  // Best-effort: a full lane/pool means no refresh this episode — re-arm.
-  if (!submitted.ok()) cache_->ClearRefreshPending(key);
 }
 
 Status QueryEngine::Submit(const EngineQuery& query) {

@@ -66,15 +66,11 @@ struct EngineOptions {
   /// costs ~k× an s-t scalar — and each shard evicts by bytes on top of the
   /// entry capacity. See ResultCache.
   size_t cache_max_bytes = 0;
-  /// TTL in seconds for successful cache entries; 0 = never expire. Expired
-  /// entries are dropped on the lookup that discovers them and counted in
-  /// ResultCacheStats::expired. Content-deterministic answers make expiry
-  /// semantically invisible: a recompute returns the identical result.
-  double cache_ttl = 0.0;
   /// Failure backoff: estimator errors are cached for this many seconds
   /// (negative caching), so a hot failing key stops recomputing — and
   /// re-failing — on every miss; after the TTL it retries. 0 disables
-  /// negative caching. Requires enable_cache.
+  /// negative caching; must be finite. Requires enable_cache. Successful
+  /// answers never expire: they are content-deterministic.
   double negative_cache_ttl = 1.0;
   /// Single-flight request coalescing: concurrent cache misses for the same
   /// key share one in-flight computation instead of computing twins on
@@ -115,18 +111,9 @@ struct EngineOptions {
   /// completely full. Cache-servable queries are always admitted — they
   /// resolve in O(1) without a worker.
   size_t shed_queue_depth = 0;
-  /// Stale-while-revalidate window in seconds: a TTL-expired result-cache
-  /// entry whose deadline elapsed less than this long ago is served
-  /// immediately — flagged in EngineResult::served_stale — while one
-  /// background task recomputes it through the normal single-flight
-  /// machinery. 0 (the default) disables SWR: expired entries are recomputed
-  /// synchronously, the pre-SWR behavior. Content-determinism makes a stale
-  /// entry byte-identical to its recomputation, so SWR trades only metadata
-  /// freshness (TTL bookkeeping), never answer correctness.
-  double max_stale_seconds = 0.0;
   /// @}
-  /// \name Crash-safe persistence (src/persist/) & background refresh lane
-  /// (see src/engine/README.md, "Restart semantics")
+  /// \name Crash-safe persistence (src/persist/; see src/engine/README.md,
+  /// "Restart semantics")
   /// @{
   /// Directory for the checksummed snapshot + warm-state journal; empty (the
   /// default) disables persistence entirely. With a valid snapshot present,
@@ -149,14 +136,6 @@ struct EngineOptions {
   /// (FlushWarmState can still be called manually). A final flush always
   /// runs at engine destruction.
   double persist_flush_seconds = 1.0;
-  /// Width of the dedicated low-priority refresh lane: an auxiliary pool
-  /// (with its own estimator replicas) that runs stale-while-revalidate
-  /// refreshes and journal flushes so background work never competes with
-  /// serving queries for the main pool. Engaged only when there is
-  /// background work to run (max_stale_seconds > 0 or persist_dir set);
-  /// 0 falls back to the serving pool (the pre-lane behavior). Queue +
-  /// in-flight depth is exported as the `refresh_lane_depth` gauge.
-  size_t refresh_lane_threads = 1;
   /// @}
   /// \name Observability (see src/obs/README.md)
   /// Tracing is never part of the determinism contract: answers are
@@ -225,11 +204,6 @@ struct EngineResult {
   /// True when this query shared an in-flight twin's computation instead of
   /// invoking an estimator itself (single-flight coalescing).
   bool coalesced = false;
-  /// True when the answer came from a TTL-expired cache entry served inside
-  /// the stale-while-revalidate window (EngineOptions::max_stale_seconds).
-  /// The payload is still bit-identical to a fresh recomputation — staleness
-  /// is a TTL-policy fact, surfaced so callers can observe degraded mode.
-  bool served_stale = false;
 
   bool ok() const { return status.ok(); }
 };
@@ -591,33 +565,17 @@ class QueryEngine {
   /// occupying a worker — such queries are always admitted under overload.
   bool ServableFromCache(const EngineQuery& query) const;
 
-  /// Kicks off the background stale-while-revalidate recompute this caller
-  /// owns (LookupStale handed it refresh_owner). Best-effort: a full pool
-  /// re-arms the entry instead (ClearRefreshPending). The refresh records
-  /// nothing into per-query stats — no query is behind it.
-  void ScheduleResultRefresh(const ResultCacheKey& key);
-
-  /// Width of the auxiliary refresh lane this configuration runs (0 = no
-  /// lane; refreshes fall back to the serving pool).
-  size_t RefreshLaneWidth() const;
-
-  /// Routes a background task onto the refresh lane when one exists (the
-  /// task then runs with an aux-replica worker id, num_threads + lane slot,
-  /// and moves the refresh_lane_depth gauge), else TrySubmits to the serving
-  /// pool — the pre-lane behavior.
-  Status SubmitRefreshTask(ThreadPool::Task task);
-
   /// Periodic flusher body: sleeps persist_flush_seconds between
-  /// FlushWarmState rounds (routed through the refresh lane) until shutdown.
+  /// FlushWarmState rounds until shutdown.
   void FlusherLoop();
 
   /// Replays the warm journal into the caches (Create-time, after the
   /// router exists — restored keys re-derive from this engine's plans).
   void RestoreWarmState();
 
-  /// Publishes the leader's outcome: inserts into the cache (successes under
-  /// cache_ttl, failures under negative_cache_ttl when enabled), removes the
-  /// in-flight entry, and wakes the waiters.
+  /// Publishes the leader's outcome: inserts into the cache (successes
+  /// without a deadline, failures under negative_cache_ttl when enabled),
+  /// removes the in-flight entry, and wakes the waiters.
   void FinishFlight(const ResultCacheKey& key,
                     const std::shared_ptr<InFlight>& flight,
                     const ResultCacheValue& value);
@@ -658,12 +616,6 @@ class QueryEngine {
   bool sweep_capable_ = false;
   std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<ThreadPool> pool_;
-  /// Dedicated low-priority refresh lane (SWR refreshes, journal flushes);
-  /// nullptr when RefreshLaneWidth() == 0. Its workers run on the aux
-  /// replicas replicas_[num_threads ..], never the serving replicas.
-  std::unique_ptr<ThreadPool> aux_pool_;
-  /// Queued + in-flight refresh-lane tasks (`refresh_lane_depth`).
-  obs::Gauge* refresh_lane_depth_ = nullptr;
   EngineStats stats_;
 
   /// Always-on stage latency histograms, one labeled family
@@ -714,15 +666,12 @@ class QueryEngine {
   /// @{
   std::mutex journal_mutex_;
   /// Key hashes already appended to the journal this process lifetime —
-  /// the journal is append-only, so each warm entry is journaled once (a
-  /// later result-cache re-insert with a fresher TTL keeps its
-  /// first-journaled TTL, which can only shorten its restored life —
-  /// conservative by design).
+  /// the journal is append-only, so each warm entry is journaled once.
   std::unordered_set<uint64_t> journaled_sweeps_;
   std::unordered_set<uint64_t> journaled_results_;
   WarmRestoreReport warm_report_;
   /// Periodic flusher thread (persist_flush_seconds); stopped first in the
-  /// destructor, before either pool shuts down.
+  /// destructor, before the pool shuts down.
   std::thread flusher_;
   std::mutex flusher_mutex_;
   std::condition_variable flusher_cv_;

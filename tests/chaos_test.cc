@@ -1,5 +1,5 @@
-// Chaos suite: deterministic fault injection, deadlines, cancellation, load
-// shedding, and stale-while-revalidate — the engine's degraded modes.
+// Chaos suite: deterministic fault injection, deadlines, cancellation, and
+// load shedding — the engine's degraded modes.
 //
 // The core assertions, for every injection mix at 1 / 2 / 8 threads:
 //   - the engine never hangs (a watchdog aborts the run if it stalls),
@@ -117,7 +117,7 @@ RunOutcome RunChaosBatch(const UncertainGraph& graph,
 
 /// The engine's outcome-partition invariant: every query resolved exactly
 /// one way. Holds in every degraded mode — shed queries never enter
-/// `queries`, deadline misses are failures, stale serves are cache hits.
+/// `queries`, deadline misses are failures.
 void ExpectPartitionHolds(const EngineStatsSnapshot& stats) {
   EXPECT_EQ(stats.executed + stats.coalesced + stats.failures +
                 stats.cache.hits,
@@ -195,16 +195,9 @@ std::vector<PlanSpec> ChaosPlans() {
   {
     FaultPlan plan;
     plan.seed = 0xC0FFEE;
-    plan.probability[static_cast<size_t>(FaultSite::kPoolReject)] = 0.7;
-    specs.push_back({"pool_reject", false, plan});
-  }
-  {
-    FaultPlan plan;
-    plan.seed = 0xC0FFEE;
     plan.probability[static_cast<size_t>(FaultSite::kEstimatorFailure)] = 0.2;
     plan.probability[static_cast<size_t>(FaultSite::kInducedLatency)] = 0.3;
     plan.probability[static_cast<size_t>(FaultSite::kAllocFailure)] = 0.5;
-    plan.probability[static_cast<size_t>(FaultSite::kPoolReject)] = 0.5;
     plan.latency_us = 100;
     specs.push_back({"all_sites", true, plan});
   }
@@ -503,68 +496,6 @@ TEST(ChaosTest, OverloadShedsInsteadOfQueueingUnboundedly) {
   for (const EngineResult& result : results) {
     EXPECT_TRUE(result.ok()) << result.status;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Stale-while-revalidate
-// ---------------------------------------------------------------------------
-
-TEST(ChaosTest, StaleWhileRevalidateServesThenRefreshes) {
-  Watchdog watchdog(std::chrono::seconds(120));
-  const UncertainGraph graph = RandomSmallGraph(24, 70, 0.2, 0.9, 11);
-  EngineOptions options = ChaosOptions(2, EstimatorKind::kMonteCarlo);
-  options.cache_ttl = 0.15;
-  options.max_stale_seconds = 30.0;
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
-
-  const std::vector<EngineQuery> queries = {EngineQuery::St(0, 7),
-                                            EngineQuery::TopK(3, 5)};
-  const std::vector<EngineResult> first =
-      engine->RunBatch(queries).MoveValue();
-  for (const EngineResult& result : first) {
-    ASSERT_TRUE(result.ok()) << result.status;
-    EXPECT_FALSE(result.served_stale);
-  }
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));  // expire TTL
-
-  const std::vector<EngineResult> stale =
-      engine->RunBatch(queries).MoveValue();
-  for (size_t i = 0; i < stale.size(); ++i) {
-    ASSERT_TRUE(stale[i].ok()) << stale[i].status;
-    EXPECT_TRUE(stale[i].served_stale) << "query " << i;
-    // Content determinism: the stale answer is bit-identical to the fresh
-    // one (staleness is a TTL fact, not a value fact).
-    EXPECT_EQ(std::memcmp(&stale[i].reliability, &first[i].reliability,
-                          sizeof(double)),
-              0)
-        << "query " << i;
-    ExpectSameTargets(stale[i], first[i], i);
-  }
-  const EngineStatsSnapshot stats = engine->StatsSnapshot();
-  EXPECT_GT(stats.stale_served, 0u);
-  ExpectPartitionHolds(stats);
-
-  // The stale serve kicked off a background refresh; once it lands, the
-  // same queries serve fresh again.
-  bool refreshed = false;
-  for (int attempt = 0; attempt < 100 && !refreshed; ++attempt) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const std::vector<EngineResult> again =
-        engine->RunBatch(queries).MoveValue();
-    refreshed = true;
-    for (size_t i = 0; i < again.size(); ++i) {
-      ASSERT_TRUE(again[i].ok()) << again[i].status;
-      if (again[i].served_stale) refreshed = false;
-      EXPECT_EQ(std::memcmp(&again[i].reliability, &first[i].reliability,
-                            sizeof(double)),
-                0)
-          << "payload drifted across refresh, query " << i;
-      ExpectSameTargets(again[i], first[i], i);
-    }
-  }
-  EXPECT_TRUE(refreshed) << "background refresh never landed";
-  ExpectPartitionHolds(engine->StatsSnapshot());
 }
 
 }  // namespace

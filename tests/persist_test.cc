@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -504,20 +505,47 @@ std::string SweepRecord(const SweepCacheExport& entry, double ttl_seconds) {
   writer.PutU32(entry.key.num_samples);
   writer.PutU64(entry.key.seed);
   writer.PutF64(ttl_seconds);
-  writer.PutU64(entry.sweep->size());
-  for (const double v : *entry.sweep) writer.PutF64(v);
+  writer.PutU64(entry.value->size());
+  for (const double v : *entry.value) writer.PutF64(v);
+  return out;
+}
+
+/// One result record in the engine's journal layout: the query fields,
+/// estimator kind, sample budget, seed, TTL seconds, then the payload.
+std::string ResultRecord(const ResultCacheExport& entry, double ttl_seconds) {
+  std::string out;
+  WireWriter writer(&out);
+  const EngineQuery& q = entry.key.query;
+  writer.PutU8(static_cast<uint8_t>(q.workload));
+  writer.PutU32(q.source);
+  writer.PutU32(q.target);
+  writer.PutU32(q.k);
+  writer.PutF64(q.eta);
+  writer.PutU32(q.max_hops);
+  writer.PutU8(static_cast<uint8_t>(entry.key.kind));
+  writer.PutU32(entry.key.num_samples);
+  writer.PutU64(entry.key.seed);
+  writer.PutF64(ttl_seconds);
+  writer.PutF64(entry.value.reliability);
+  writer.PutU32(entry.value.num_samples);
+  writer.PutU64(entry.value.targets.size());
+  for (const ReliableTarget& target : entry.value.targets) {
+    writer.PutU32(target.node);
+    writer.PutF64(target.reliability);
+  }
   return out;
 }
 
 TEST(PersistRestart, SweepRecordWithTtlStillReplays) {
-  // Older engines journaled speculatively warmed sweeps with a positive TTL.
-  // Such a record still replays and serves bit-identical answers; a record
-  // whose TTL is not a finite, non-negative number is refused as malformed.
+  // Older engines journaled sweeps and results with a positive TTL. Such a
+  // record still replays and serves bit-identical answers; a record whose
+  // TTL is not a finite, non-negative number is refused as malformed.
   ScratchDir dir("relcomp_persist_sweep_ttl");
   const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
-  const std::vector<EngineQuery> queries = {EngineQuery::TopK(1, 4),
-                                            EngineQuery::TopK(1, 2),
-                                            EngineQuery::ReliableSet(1, 0.05)};
+  const std::vector<EngineQuery> queries = {
+      EngineQuery::TopK(1, 4), EngineQuery::TopK(1, 2),
+      EngineQuery::ReliableSet(1, 0.05), EngineQuery::St(2, 9),
+      EngineQuery::St(5, 3)};
 
   EngineOptions fresh_options = PersistEngineOptions("", 2);
   fresh_options.persist_dir.clear();
@@ -530,6 +558,16 @@ TEST(PersistRestart, SweepRecordWithTtlStillReplays) {
   const std::vector<SweepCacheExport> sweeps =
       fresh.value()->sweep_cache()->ExportEntries();
   ASSERT_EQ(sweeps.size(), 1u);
+  // Only the s-t answers go back as result records, so the sweep-kind
+  // queries must derive from the restored sweep.
+  std::vector<ResultCacheExport> results_st;
+  for (const ResultCacheExport& entry : fresh.value()->cache()->ExportEntries()) {
+    if (entry.key.query.workload == WorkloadKind::kSt) {
+      results_st.push_back(entry);
+    }
+  }
+  ASSERT_EQ(results_st.size(), 2u);
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
 
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     SCOPED_TRACE(threads);
@@ -538,14 +576,18 @@ TEST(PersistRestart, SweepRecordWithTtlStillReplays) {
           PersistentStore::Open(dir.path(), nullptr);
       ASSERT_TRUE(store.ok()) << store.status();
       ASSERT_TRUE(store.value()->ResetJournal().ok());
-      ASSERT_TRUE(store.value()
-                      ->AppendWarm(kJournalRecordSweep,
-                                   SweepRecord(sweeps[0], /*ttl=*/30.0))
-                      .ok());
-      ASSERT_TRUE(store.value()
-                      ->AppendWarm(kJournalRecordSweep,
-                                   SweepRecord(sweeps[0], /*ttl=*/-1.0))
-                      .ok());
+      for (const double ttl : {30.0, -1.0, kNaN}) {
+        ASSERT_TRUE(store.value()
+                        ->AppendWarm(kJournalRecordSweep,
+                                     SweepRecord(sweeps[0], ttl))
+                        .ok());
+        for (const ResultCacheExport& entry : results_st) {
+          ASSERT_TRUE(store.value()
+                          ->AppendWarm(kJournalRecordResult,
+                                       ResultRecord(entry, ttl))
+                          .ok());
+        }
+      }
       ASSERT_TRUE(store.value()->SyncJournal().ok());
     }
     Result<std::unique_ptr<QueryEngine>> restarted =
@@ -553,7 +595,8 @@ TEST(PersistRestart, SweepRecordWithTtlStillReplays) {
     ASSERT_TRUE(restarted.ok()) << restarted.status();
     const auto& report = restarted.value()->warm_restore_report();
     EXPECT_EQ(report.sweep_entries, 1u);
-    EXPECT_EQ(report.skipped, 1u);
+    EXPECT_EQ(report.result_entries, 2u);
+    EXPECT_EQ(report.skipped, 6u);  // TTL -1 and NaN, three records each
 
     Result<std::vector<EngineResult>> results =
         restarted.value()->RunBatch(queries);
@@ -561,8 +604,12 @@ TEST(PersistRestart, SweepRecordWithTtlStillReplays) {
     ASSERT_EQ(results->size(), reference->size());
     for (size_t i = 0; i < results->size(); ++i) {
       ExpectBitIdentical((*reference)[i], (*results)[i]);
+      EXPECT_EQ((*results)[i].cache_hit,
+                queries[i].workload == WorkloadKind::kSt)
+          << "query " << i;
     }
-    // Every answer derived from the restored sweep; none ran its own.
+    // Every sweep-kind answer derived from the restored sweep; none ran its
+    // own.
     EXPECT_EQ(restarted.value()->StatsSnapshot().sweep_executed, 0u);
   }
 }

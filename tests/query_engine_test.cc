@@ -1,6 +1,7 @@
 #include "engine/query_engine.h"
 
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -369,6 +370,35 @@ TEST(QueryEngineTest, RejectsInvalidQueries) {
   zero_samples.num_samples = 0;
   EXPECT_EQ(QueryEngine::Create(graph, zero_samples).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(QueryEngineTest, ValidatesBackoffTtl) {
+  for (const double ttl : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EngineOptions options = BaseOptions(1, EstimatorKind::kMonteCarlo);
+    options.negative_cache_ttl = ttl;
+    EXPECT_EQ(QueryEngine::Create(DiamondGraph(), options).status().code(),
+              StatusCode::kInvalidArgument)
+        << "negative_cache_ttl = " << ttl;
+  }
+
+  // A finite TTL too large for the nanosecond clock is accepted and
+  // saturates: the negative entry never expires, instead of overflowing its
+  // deadline.
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 62);
+  EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing);
+  options.factory.bfs_sharing.index_samples = 100;  // K = 400 > L: fails
+  options.negative_cache_ttl = 1e300;
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  for (int round = 0; round < 2; ++round) {
+    const std::vector<EngineResult> results =
+        engine->RunBatch(std::vector<ReliabilityQuery>{{0, 5}}).MoveValue();
+    EXPECT_EQ(results[0].status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(results[0].cache_hit, round == 1);
+  }
+  const ResultCacheStats stats = engine->cache()->Stats();
+  EXPECT_EQ(stats.negative_hits, 1u);
+  EXPECT_EQ(stats.expired, 0u);
 }
 
 TEST(QueryEngineTest, StatsTrackThroughputAndLatency) {

@@ -1,5 +1,6 @@
 #include "engine/result_cache.h"
 
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -134,6 +135,18 @@ TEST(ResultCacheTest, EntriesExpireAfterTtl) {
   EXPECT_DOUBLE_EQ(cache.Lookup(Key(0, 1))->reliability, 0.6);
 }
 
+TEST(ResultCacheTest, TtlBeyondClockRangeSaturatesToNeverExpire) {
+  ResultCache cache(8, 1);
+  ResultCacheValue failure;
+  failure.status = Status::InvalidArgument("K exceeds L");
+  cache.Insert(Key(0, 1), failure, /*ttl_seconds=*/1e300);
+  cache.Insert(Key(0, 2), failure,
+               std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(cache.Lookup(Key(0, 1)).has_value());
+  EXPECT_TRUE(cache.Lookup(Key(0, 2)).has_value());
+  EXPECT_EQ(cache.Stats().expired, 0u);
+}
+
 TEST(ResultCacheTest, NegativeEntriesCountSeparately) {
   ResultCache cache(8, 1);
   ResultCacheValue failure;
@@ -189,58 +202,6 @@ TEST(ResultCacheTest, TransientStatusesAreNeverCached) {
   invalid.status = Status::InvalidArgument("K exceeds L");
   cache.Insert(Key(0, 1), invalid, /*ttl_seconds=*/3600.0);
   ASSERT_TRUE(cache.Lookup(Key(0, 1)).has_value());
-}
-
-TEST(ResultCacheTest, StaleWindowServesExpiredEntriesOnce) {
-  ResultCache cache(8, 1);
-  cache.Insert(Key(0, 1), {0.5, 10}, /*ttl_seconds=*/1e-9);  // already expired
-
-  // Plain Lookup reaps; LookupStale inside the window serves instead.
-  StaleLookupResult first = cache.LookupStale(Key(0, 1), /*max_stale=*/3600.0);
-  ASSERT_TRUE(first.value.has_value());
-  EXPECT_TRUE(first.stale);
-  EXPECT_TRUE(first.refresh_owner) << "first stale observer owns the refresh";
-  EXPECT_DOUBLE_EQ(first.value->reliability, 0.5);
-
-  // The refresh is debounced: later stale observers serve but do not own.
-  StaleLookupResult second = cache.LookupStale(Key(0, 1), 3600.0);
-  ASSERT_TRUE(second.value.has_value());
-  EXPECT_TRUE(second.stale);
-  EXPECT_FALSE(second.refresh_owner);
-
-  // A failed refresh re-arms the episode; the next observer owns again.
-  cache.ClearRefreshPending(Key(0, 1));
-  EXPECT_TRUE(cache.LookupStale(Key(0, 1), 3600.0).refresh_owner);
-
-  // A landed refresh resets everything: live entry, no stale flag.
-  cache.Insert(Key(0, 1), {0.5, 10}, /*ttl_seconds=*/3600.0);
-  StaleLookupResult fresh = cache.LookupStale(Key(0, 1), 3600.0);
-  ASSERT_TRUE(fresh.value.has_value());
-  EXPECT_FALSE(fresh.stale);
-  EXPECT_FALSE(fresh.refresh_owner);
-
-  const ResultCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.stale_served, 3u);
-  EXPECT_EQ(stats.hits, 4u);  // stale serves still count as hits
-}
-
-TEST(ResultCacheTest, StaleWindowNeverServesNegativesOrAncientEntries) {
-  ResultCache cache(8, 1);
-  // Negative entries are a failure-backoff device: serving one stale would
-  // extend the backoff past its TTL. They reap exactly as without SWR.
-  ResultCacheValue failure;
-  failure.status = Status::InvalidArgument("bad K");
-  cache.Insert(Key(0, 1), failure, /*ttl_seconds=*/1e-9);
-  StaleLookupResult negative = cache.LookupStale(Key(0, 1), 3600.0);
-  EXPECT_FALSE(negative.value.has_value());
-  EXPECT_FALSE(negative.stale);
-
-  // Past the stale window the entry reaps too.
-  cache.Insert(Key(0, 2), {0.5, 10}, /*ttl_seconds=*/1e-9);
-  StaleLookupResult ancient = cache.LookupStale(Key(0, 2), /*max_stale=*/1e-9);
-  EXPECT_FALSE(ancient.value.has_value());
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Stats().expired, 2u);
 }
 
 TEST(ResultCacheTest, ConcurrentMixedWorkloadIsSafe) {

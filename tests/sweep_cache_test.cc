@@ -1,8 +1,11 @@
 // Unit coverage for the size-aware per-source sweep memo (engine/sweep_cache)
-// and the byte-budget admission of the result cache: LRU-by-bytes eviction,
-// oversized-entry rejection, and stats accounting.
+// and the byte-budget path both caches share (engine/lru_cache): LRU-by-bytes
+// eviction, oversized-entry rejection, and stats accounting, run once per
+// cache type.
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,59 +62,6 @@ TEST(SweepCacheTest, DistinctKeyFieldsDoNotAlias) {
   EXPECT_NE(cache.Lookup(Key(1, 7)), nullptr);
 }
 
-TEST(SweepCacheTest, EvictsLeastRecentlyUsedUnderBytePressure) {
-  // Budget of 3 sweeps of 10 doubles each.
-  SweepCache cache(3 * 10 * sizeof(double));
-  cache.Insert(Key(1), Sweep(10, 0.1));
-  cache.Insert(Key(2), Sweep(10, 0.2));
-  cache.Insert(Key(3), Sweep(10, 0.3));
-  EXPECT_EQ(cache.size(), 3u);
-  // Touch 1 so 2 becomes the LRU victim.
-  EXPECT_NE(cache.Lookup(Key(1)), nullptr);
-  cache.Insert(Key(4), Sweep(10, 0.4));
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.Lookup(Key(2)), nullptr);  // evicted
-  EXPECT_NE(cache.Lookup(Key(1)), nullptr);
-  EXPECT_NE(cache.Lookup(Key(3)), nullptr);
-  EXPECT_NE(cache.Lookup(Key(4)), nullptr);
-  EXPECT_EQ(cache.Stats().evictions, 1u);
-  EXPECT_LE(cache.bytes_in_use(), cache.max_bytes());
-}
-
-TEST(SweepCacheTest, BigSweepEvictsManySmallOnes) {
-  SweepCache cache(100 * sizeof(double));
-  cache.Insert(Key(1), Sweep(40, 0.1));
-  cache.Insert(Key(2), Sweep(40, 0.2));
-  // 90 doubles only fit alongside neither of the 40s.
-  cache.Insert(Key(3), Sweep(90, 0.3));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_NE(cache.Lookup(Key(3)), nullptr);
-  EXPECT_EQ(cache.Stats().evictions, 2u);
-  EXPECT_LE(cache.bytes_in_use(), cache.max_bytes());
-}
-
-TEST(SweepCacheTest, RejectsSweepLargerThanWholeBudget) {
-  SweepCache cache(10 * sizeof(double));
-  cache.Insert(Key(1), Sweep(5, 0.1));
-  cache.Insert(Key(2), Sweep(11, 0.2));  // larger than the whole budget
-  EXPECT_EQ(cache.Lookup(Key(2)), nullptr);
-  EXPECT_NE(cache.Lookup(Key(1)), nullptr);  // untouched by the rejection
-  EXPECT_EQ(cache.Stats().rejected, 1u);
-  EXPECT_EQ(cache.Stats().evictions, 0u);
-}
-
-TEST(SweepCacheTest, ReinsertReplacesAndReaccountsBytes) {
-  SweepCache cache(1 << 20);
-  cache.Insert(Key(1), Sweep(10, 0.1));
-  cache.Insert(Key(1), Sweep(30, 0.2));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.bytes_in_use(), 30 * sizeof(double));
-  EXPECT_EQ(cache.Stats().insertions, 1u);  // refresh, not a new entry
-  const auto hit = cache.Lookup(Key(1));
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->size(), 30u);
-}
-
 TEST(SweepCacheTest, EvictionNeverInvalidatesAHandedOutSweep) {
   SweepCache cache(10 * sizeof(double));
   cache.Insert(Key(1), Sweep(10, 0.25));
@@ -122,17 +72,6 @@ TEST(SweepCacheTest, EvictionNeverInvalidatesAHandedOutSweep) {
   // The reader's shared_ptr keeps the vector alive and intact.
   EXPECT_EQ(held->size(), 10u);
   EXPECT_DOUBLE_EQ(held->front(), 0.25);
-}
-
-TEST(SweepCacheTest, ClearDropsEntriesKeepsCounters) {
-  SweepCache cache(1 << 20);
-  cache.Insert(Key(1), Sweep(10, 0.1));
-  ASSERT_NE(cache.Lookup(Key(1)), nullptr);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.bytes_in_use(), 0u);
-  EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
-  EXPECT_EQ(cache.Stats().hits, 1u);  // counters survive Clear
 }
 
 // ---------------------------------------------------------------------------
@@ -169,22 +108,6 @@ TEST(ResultCacheBytesTest, RankedPayloadChargedRealBytes) {
   EXPECT_EQ(cache.bytes_in_use(), ResultCache::EntryBytes(ranked));
 }
 
-TEST(ResultCacheBytesTest, EvictsByBytesNotEntryCount) {
-  // Entry capacity is huge; the byte budget holds ~3 of the 50-target
-  // payloads. Eviction must kick in on bytes alone.
-  const size_t entry_bytes = ResultCache::EntryBytes(RankedValue(50));
-  ResultCache cache(1024, 1, 3 * entry_bytes);
-  for (uint32_t i = 0; i < 6; ++i) {
-    cache.Insert(RcKey(i, 50), RankedValue(50));
-  }
-  EXPECT_LE(cache.bytes_in_use(), cache.max_bytes());
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.Stats().evictions, 3u);
-  // Most-recent survive, oldest were evicted.
-  EXPECT_TRUE(cache.Lookup(RcKey(5, 50)).has_value());
-  EXPECT_FALSE(cache.Lookup(RcKey(0, 50)).has_value());
-}
-
 TEST(ResultCacheBytesTest, UnlimitedBytesKeepsEntryCountSemantics) {
   ResultCache cache(4, 1);  // max_bytes = 0: entry-count LRU only
   for (uint32_t i = 0; i < 6; ++i) {
@@ -193,14 +116,112 @@ TEST(ResultCacheBytesTest, UnlimitedBytesKeepsEntryCountSemantics) {
   EXPECT_EQ(cache.size(), 4u);
 }
 
-TEST(ResultCacheBytesTest, RejectsEntryLargerThanShardBudget) {
-  const size_t small_bytes = ResultCache::EntryBytes(RankedValue(2));
-  ResultCache cache(1024, 1, 2 * small_bytes);
-  cache.Insert(RcKey(0, 2), RankedValue(2));
-  cache.Insert(RcKey(1, 500), RankedValue(500));  // outweighs the budget
-  EXPECT_FALSE(cache.Lookup(RcKey(1, 500)).has_value());
-  EXPECT_TRUE(cache.Lookup(RcKey(0, 2)).has_value());
-  EXPECT_EQ(cache.Stats().rejected, 1u);
+// ---------------------------------------------------------------------------
+// Byte-budget path of LruCache, for both caches
+// ---------------------------------------------------------------------------
+
+/// Drives one cache type through the shared byte-budget path: `Make` builds
+/// a one-shard cache whose only binding limit is `max_bytes`, `Value(n)` is
+/// a payload of size n charged `Bytes(n)`, and `Size` reads a served
+/// payload's size back (0 on a miss).
+struct SweepCacheCase {
+  static std::unique_ptr<SweepCache> Make(size_t max_bytes) {
+    return std::make_unique<SweepCache>(max_bytes);
+  }
+  static SweepCacheKey KeyOf(NodeId i) { return Key(i); }
+  static SweepVector Value(size_t n) { return Sweep(n, 0.5); }
+  static size_t Bytes(size_t n) { return n * sizeof(double); }
+  static size_t Size(SweepCache& cache, NodeId i) {
+    const SweepVector hit = cache.Lookup(Key(i));
+    return hit == nullptr ? 0 : hit->size();
+  }
+};
+
+struct ResultCacheCase {
+  static std::unique_ptr<ResultCache> Make(size_t max_bytes) {
+    return std::make_unique<ResultCache>(1024, 1, max_bytes);
+  }
+  static ResultCacheKey KeyOf(NodeId i) { return RcKey(i, 50); }
+  static ResultCacheValue Value(size_t n) { return RankedValue(n); }
+  static size_t Bytes(size_t n) { return ResultCache::EntryBytes(Value(n)); }
+  static size_t Size(ResultCache& cache, NodeId i) {
+    const std::optional<ResultCacheValue> hit = cache.Lookup(KeyOf(i));
+    return hit.has_value() ? hit->targets.size() : 0;
+  }
+};
+
+template <class Case>
+class ByteBudgetTest : public ::testing::Test {};
+using CacheCases = ::testing::Types<SweepCacheCase, ResultCacheCase>;
+TYPED_TEST_SUITE(ByteBudgetTest, CacheCases);
+
+TYPED_TEST(ByteBudgetTest, EvictsLeastRecentlyUsedByBytes) {
+  // Budget of 3 payloads of 10; the entry capacity never binds.
+  auto cache = TypeParam::Make(3 * TypeParam::Bytes(10));
+  for (NodeId i = 1; i <= 3; ++i) {
+    cache->Insert(TypeParam::KeyOf(i), TypeParam::Value(10));
+  }
+  EXPECT_EQ(cache->size(), 3u);
+  // Touch 1 so 2 becomes the LRU victim.
+  EXPECT_EQ(TypeParam::Size(*cache, 1), 10u);
+  cache->Insert(TypeParam::KeyOf(4), TypeParam::Value(10));
+  EXPECT_EQ(cache->size(), 3u);
+  EXPECT_EQ(TypeParam::Size(*cache, 2), 0u);  // evicted
+  EXPECT_EQ(TypeParam::Size(*cache, 1), 10u);
+  EXPECT_EQ(TypeParam::Size(*cache, 3), 10u);
+  EXPECT_EQ(TypeParam::Size(*cache, 4), 10u);
+  EXPECT_EQ(cache->Stats().evictions, 1u);
+  EXPECT_LE(cache->bytes_in_use(), cache->max_bytes());
+}
+
+TYPED_TEST(ByteBudgetTest, BigEntryEvictsManySmallOnes) {
+  // 90 fits alone but alongside neither 40.
+  auto cache = TypeParam::Make(
+      std::max(TypeParam::Bytes(90), 2 * TypeParam::Bytes(40)));
+  cache->Insert(TypeParam::KeyOf(1), TypeParam::Value(40));
+  cache->Insert(TypeParam::KeyOf(2), TypeParam::Value(40));
+  cache->Insert(TypeParam::KeyOf(3), TypeParam::Value(90));
+  EXPECT_EQ(cache->size(), 1u);
+  EXPECT_EQ(TypeParam::Size(*cache, 3), 90u);
+  EXPECT_EQ(cache->Stats().evictions, 2u);
+  EXPECT_LE(cache->bytes_in_use(), cache->max_bytes());
+}
+
+TYPED_TEST(ByteBudgetTest, RejectsEntryLargerThanBudget) {
+  auto cache = TypeParam::Make(TypeParam::Bytes(10));
+  cache->Insert(TypeParam::KeyOf(1), TypeParam::Value(5));
+  cache->Insert(TypeParam::KeyOf(2), TypeParam::Value(11));  // outweighs it
+  EXPECT_EQ(TypeParam::Size(*cache, 2), 0u);
+  EXPECT_EQ(TypeParam::Size(*cache, 1), 5u);  // untouched by the rejection
+  EXPECT_EQ(cache->Stats().rejected, 1u);
+  EXPECT_EQ(cache->Stats().evictions, 0u);
+  // An oversized re-insert drops the key's older incarnation.
+  cache->Insert(TypeParam::KeyOf(1), TypeParam::Value(11));
+  EXPECT_EQ(TypeParam::Size(*cache, 1), 0u);
+  EXPECT_EQ(cache->Stats().rejected, 2u);
+  EXPECT_EQ(cache->Stats().evictions, 1u);
+  EXPECT_EQ(cache->bytes_in_use(), 0u);
+}
+
+TYPED_TEST(ByteBudgetTest, ReinsertReplacesAndReaccountsBytes) {
+  auto cache = TypeParam::Make(size_t{1} << 20);
+  cache->Insert(TypeParam::KeyOf(1), TypeParam::Value(10));
+  cache->Insert(TypeParam::KeyOf(1), TypeParam::Value(30));
+  EXPECT_EQ(cache->size(), 1u);
+  EXPECT_EQ(cache->bytes_in_use(), TypeParam::Bytes(30));
+  EXPECT_EQ(cache->Stats().insertions, 1u);  // refresh, not a new entry
+  EXPECT_EQ(TypeParam::Size(*cache, 1), 30u);
+}
+
+TYPED_TEST(ByteBudgetTest, ClearDropsEntriesKeepsCounters) {
+  auto cache = TypeParam::Make(size_t{1} << 20);
+  cache->Insert(TypeParam::KeyOf(1), TypeParam::Value(10));
+  ASSERT_EQ(TypeParam::Size(*cache, 1), 10u);
+  cache->Clear();
+  EXPECT_EQ(cache->size(), 0u);
+  EXPECT_EQ(cache->bytes_in_use(), 0u);
+  EXPECT_EQ(TypeParam::Size(*cache, 1), 0u);
+  EXPECT_EQ(cache->Stats().hits, 1u);  // counters survive Clear
 }
 
 }  // namespace
