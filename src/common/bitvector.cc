@@ -1,6 +1,7 @@
 #include "common/bitvector.h"
 
 #include <bit>
+#include <cmath>
 
 #include "common/rng.h"
 
@@ -139,10 +140,22 @@ void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
   // Geometric skipping: expected work O(p * num_bits) instead of O(num_bits),
   // matching how sparse most uncertain-graph edges are.
   if (p < 0.25) {
-    size_t i = rng.Geometric(p);
+    // Rng::Geometric's inversion with log1p(-p) computed once per call
+    // instead of once per draw: same expression, same draws, same bits.
+    const double log_q = std::log1p(-p);
+    auto geometric = [&rng, log_q]() -> uint64_t {
+      double u = rng.NextDouble();
+      while (u <= 0.0) u = rng.NextDouble();
+      double x = std::floor(std::log(u) / log_q);
+      if (x < 0.0) x = 0.0;
+      constexpr double kMax = 9.0e18;
+      if (x > kMax) x = kMax;
+      return static_cast<uint64_t>(x);
+    };
+    size_t i = geometric();
     while (i < num_bits) {
       set(i);
-      i += 1 + rng.Geometric(p);
+      i += 1 + geometric();
     }
     return;
   }

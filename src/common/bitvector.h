@@ -139,9 +139,12 @@ class BitVector {
 
   /// Raw-word form of FillBernoulli, writing `num_bits` draws into `words`
   /// (which must span at least ceil(num_bits / 64) words; the tail of the
-  /// last word is zeroed). Consumes the identical RNG stream as
-  /// FillBernoulli, so packed and per-vector storage sample bit-identical
-  /// worlds from equal seeds.
+  /// last word is zeroed). Bit i depends only on the RNG stream, not on
+  /// `num_bits`: a shorter fill from the same stream is a prefix of a
+  /// longer one. For p < 0.25 the bits and the RNG draws are identical to
+  /// setting positions from a loop over rng.Geometric(p) (log1p(-p) is
+  /// computed once per call); otherwise bit i is rng.Bernoulli(p), drawn in
+  /// order.
   static void FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
                                  Rng& rng);
 

@@ -2,7 +2,8 @@
 
 #include <cstring>
 
-#ifdef __SSE4_2__
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define RELCOMP_CRC32C_X86_DISPATCH 1
 #include <nmmintrin.h>
 #endif
 
@@ -57,8 +58,12 @@ uint32_t SoftwareCrc32c(const uint8_t* p, size_t size, uint32_t crc) {
   return crc;
 }
 
-#ifdef __SSE4_2__
-uint32_t HardwareCrc32c(const uint8_t* p, size_t size, uint32_t crc) {
+#ifdef RELCOMP_CRC32C_X86_DISPATCH
+// Compiled for SSE4.2 whatever the build's -m flags, and called only after
+// the CPU has been checked for it at run time.
+__attribute__((target("sse4.2"))) uint32_t HardwareCrc32c(const uint8_t* p,
+                                                          size_t size,
+                                                          uint32_t crc) {
   uint64_t crc64 = crc;
   while (size >= 8) {
     uint64_t chunk;
@@ -73,19 +78,28 @@ uint32_t HardwareCrc32c(const uint8_t* p, size_t size, uint32_t crc) {
   }
   return crc;
 }
+
+bool CpuHasSse42() {
+  // __builtin_cpu_init makes the check valid even when the first checksum
+  // runs inside another static initializer.
+  static const bool has = (__builtin_cpu_init(),
+                           __builtin_cpu_supports("sse4.2") != 0);
+  return has;
+}
 #endif
 
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t size, uint32_t crc) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
-  crc = ~crc;
-#ifdef __SSE4_2__
-  crc = HardwareCrc32c(p, size, crc);
-#else
-  crc = SoftwareCrc32c(p, size, crc);
+#ifdef RELCOMP_CRC32C_X86_DISPATCH
+  if (CpuHasSse42()) return ~HardwareCrc32c(p, size, ~crc);
 #endif
-  return ~crc;
+  return ~SoftwareCrc32c(p, size, ~crc);
+}
+
+uint32_t Crc32cSoftware(const void* data, size_t size, uint32_t crc) {
+  return ~SoftwareCrc32c(static_cast<const uint8_t*>(data), size, ~crc);
 }
 
 }  // namespace relcomp

@@ -345,7 +345,7 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
     if (!snapshot_restored && auto_snapshot) {
       // Best effort: a failed snapshot write (disk full, injected fault)
       // only costs the next restart its O(1) cold start.
-      (void)engine->PersistSnapshot();
+      (void)engine->WriteSnapshot(/*replicas_unserved=*/true);
     }
     if (warm_restore) engine->RestoreWarmState();
   }
@@ -365,20 +365,35 @@ void QueryEngine::FlusherLoop() {
 }
 
 Status QueryEngine::PersistSnapshot() {
+  return WriteSnapshot(/*replicas_unserved=*/false);
+}
+
+Status QueryEngine::WriteSnapshot(bool replicas_unserved) {
   if (store_ == nullptr) {
     return Status::FailedPrecondition("persistence is not configured");
   }
-  const BfsSharingIndex* bfs_index = nullptr;
+  std::shared_ptr<const BfsSharingIndex> bfs_index;
   const ProbTreeIndex* prob_tree = nullptr;
   if (const auto* bfs =
           dynamic_cast<const BfsSharingEstimator*>(replicas_.front().get())) {
-    bfs_index = bfs->shared_index().get();
+    // Once serving, replica 0 reads the last query's worlds (possibly only
+    // [0, K) of them, refilled in place by its worker), not the index_seed
+    // generation the manifest names.
+    if (replicas_unserved) {
+      bfs_index = bfs->shared_index();
+    } else {
+      RELCOMP_ASSIGN_OR_RETURN(
+          bfs_index,
+          BfsSharingIndex::Build(graph_, options_.factory.bfs_sharing,
+                                 options_.factory.index_seed));
+    }
   }
   if (const auto* pt =
           dynamic_cast<const ProbTreeEstimator*>(replicas_.front().get())) {
     prob_tree = pt->shared_index().get();
   }
-  return store_->WriteSnapshot(graph_, options_.factory, bfs_index, prob_tree);
+  return store_->WriteSnapshot(graph_, options_.factory, bfs_index.get(),
+                               prob_tree);
 }
 
 Status QueryEngine::FlushWarmState() {
@@ -827,7 +842,7 @@ Result<QueryEngine::SweepShare> QueryEngine::ComputeSweepSerial(
   {
     StageTimer prepare(stage_prepare_, trace, obs::SpanKind::kPrepare, parent);
     RELCOMP_RETURN_NOT_OK(estimator.PrepareForNextQuery(
-        HashCombineSeed(sweep_seed, kPrepareSeedTag)));
+        HashCombineSeed(sweep_seed, kPrepareSeedTag), plan.num_samples));
   }
   EstimateOptions estimate_options;
   estimate_options.num_samples = plan.num_samples;
@@ -917,16 +932,19 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
         shared_state = flight->prepared_state;
       }
       if (shared_state != nullptr) {
-        run = estimator.AdoptSharedPreparedState(std::move(shared_state));
+        run = estimator.AdoptSharedPreparedState(std::move(shared_state),
+                                                 flight->num_samples);
         if (!run.ok()) {
-          // Adoption refused (shape mismatch — cannot happen for replicas
-          // of this engine): the inline prepare is bit-identical anyway.
+          // Adoption refused (shape or fill mismatch — cannot happen for
+          // replicas of this engine, which all prepare the flight's K): the
+          // inline prepare is bit-identical anyway.
           run = estimator.PrepareForNextQuery(
-              HashCombineSeed(sweep_seed, kPrepareSeedTag));
+              HashCombineSeed(sweep_seed, kPrepareSeedTag),
+              flight->num_samples);
         }
       } else {
         run = estimator.PrepareForNextQuery(
-            HashCombineSeed(sweep_seed, kPrepareSeedTag));
+            HashCombineSeed(sweep_seed, kPrepareSeedTag), flight->num_samples);
         if (run.ok() && estimator.SupportsSharedPreparedState()) {
           Result<std::shared_ptr<const PreparedGeneration>> snapshot =
               estimator.ShareCurrentPreparedState();
@@ -1231,7 +1249,7 @@ Result<WorkloadResult> QueryEngine::ComputeWorkload(
     StageTimer prepare_stage(stage_prepare_, trace, obs::SpanKind::kPrepare,
                              parent);
     RELCOMP_RETURN_NOT_OK(estimator.PrepareForNextQuery(
-        HashCombineSeed(query_seed, kPrepareSeedTag)));
+        HashCombineSeed(query_seed, kPrepareSeedTag), plan.num_samples));
   }
   EstimateOptions estimate_options;
   estimate_options.num_samples = plan.num_samples;

@@ -342,8 +342,11 @@ class QueryEngine {
   };
   const WarmRestoreReport& warm_restore_report() const { return warm_report_; }
 
-  /// Writes and atomically publishes a snapshot of the graph plus the
-  /// current shared index (if the estimator kind carries one).
+  /// Writes and atomically publishes a snapshot of the graph plus the shared
+  /// index (if the estimator kind carries one). The BFS Sharing block is
+  /// always the index_seed generation the manifest names: serving resamples
+  /// every replica's worlds, so it is rebuilt here (an O(L m) fill) rather
+  /// than copied from a replica or pinned while serving.
   /// FailedPrecondition without persist_dir.
   Status PersistSnapshot();
 
@@ -572,6 +575,10 @@ class QueryEngine {
   /// Replays the warm journal into the caches (Create-time, after the
   /// router exists — restored keys re-derive from this engine's plans).
   void RestoreWarmState();
+  /// PersistSnapshot's body. `replicas_unserved` (Create, before any query)
+  /// lets it publish replica 0's generation, still the index_seed one,
+  /// instead of rebuilding it.
+  Status WriteSnapshot(bool replicas_unserved);
 
   /// Publishes the leader's outcome: inserts into the cache (successes
   /// without a deadline, failures under negative_cache_ttl when enabled),

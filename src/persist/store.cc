@@ -141,6 +141,11 @@ Status PersistentStore::WriteSnapshot(const UncertainGraph& graph,
                                       const FactoryOptions& options,
                                       const BfsSharingIndex* bfs_index,
                                       const ProbTreeIndex* prob_tree) {
+  if (bfs_index != nullptr &&
+      bfs_index->filled_worlds() != bfs_index->num_samples()) {
+    return Status::FailedPrecondition(
+        "snapshot: BFS Sharing generation is only partially filled");
+  }
   const Manifest manifest = ManifestFor(graph, options, bfs_index != nullptr,
                                         prob_tree != nullptr);
   SnapshotWriter writer;

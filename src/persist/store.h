@@ -54,7 +54,8 @@ class PersistentStore {
 
   /// Writes and atomically publishes a snapshot of the graph plus whichever
   /// indexes are non-null, under a manifest recording the graph fingerprint
-  /// and the index configuration in `options`.
+  /// and the index configuration in `options`. FailedPrecondition when the
+  /// BFS Sharing generation is not filled over all L worlds.
   Status WriteSnapshot(const UncertainGraph& graph,
                        const FactoryOptions& options,
                        const BfsSharingIndex* bfs_index,

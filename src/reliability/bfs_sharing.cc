@@ -1,5 +1,6 @@
 #include "reliability/bfs_sharing.h"
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -29,7 +30,7 @@ std::atomic<uint64_t> BfsSharingIndex::build_count_{0};
 
 Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::Build(
     const UncertainGraph& graph, const BfsSharingOptions& options,
-    uint64_t seed) {
+    uint64_t seed, uint32_t num_worlds) {
   if (options.index_samples == 0) {
     return Status::InvalidArgument("BFS Sharing: index_samples must be positive");
   }
@@ -40,12 +41,13 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::Build(
   index->words_.assign(index->num_edges_ * index->words_per_edge_, 0);
   index->words_data_ = index->words_.data();
   index->num_words_ = index->words_.size();
-  index->Resample(graph, seed);
+  index->Resample(graph, seed, num_worlds);
   build_count_.fetch_add(1, std::memory_order_relaxed);
   return index;
 }
 
-void BfsSharingIndex::Resample(const UncertainGraph& graph, uint64_t seed) {
+void BfsSharingIndex::Resample(const UncertainGraph& graph, uint64_t seed,
+                               uint32_t num_worlds) {
   Timer timer;
   // A mapped generation reads its words out of a read-only snapshot
   // mapping; materialize a private copy before the first in-place refill.
@@ -57,14 +59,15 @@ void BfsSharingIndex::Resample(const UncertainGraph& graph, uint64_t seed) {
     words_data_ = words_.data();
     backing_.reset();
   }
-  Rng rng(seed);
-  // FillBernoulliWords consumes the identical RNG stream as the historical
-  // per-edge BitVector fill, so generations stay bit-identical across the
-  // storage change (and across graph storage layouts, which preserve edge
-  // ids and bitwise probabilities).
+  // One stream per edge: world i of edge e depends only on (seed, e, i), so
+  // a fill of [0, K) is a prefix of the full fill, and graph storage
+  // layouts (which preserve edge ids and bitwise probabilities) sample
+  // identical worlds.
+  filled_worlds_ = std::min(num_worlds, num_samples_);
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    Rng rng(HashCombineSeed(seed, e));
     BitVector::FillBernoulliWords(words_.data() + e * words_per_edge_,
-                                  num_samples_, graph.prob(e), rng);
+                                  filled_worlds_, graph.prob(e), rng);
   }
   build_seconds_ = timer.ElapsedSeconds();
 }
@@ -108,6 +111,7 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::FromBlock(
   Timer timer;
   std::shared_ptr<BfsSharingIndex> index(new BfsSharingIndex());
   index->num_samples_ = l;
+  index->filled_worlds_ = l;
   index->num_edges_ = m;
   index->words_per_edge_ = words_per_edge;
   index->num_words_ = num_words;
@@ -129,6 +133,11 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::FromBlock(
 }
 
 Status BfsSharingIndex::SaveToFile(const std::string& path) const {
+  if (filled_worlds_ != num_samples_) {
+    return Status::FailedPrecondition(
+        StrFormat("BFS Sharing: only %u of L=%u worlds are filled",
+                  filled_worlds_, num_samples_));
+  }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out.is_open()) return Status::IOError("cannot open for writing: " + path);
   out.write(kIndexMagic, sizeof(kIndexMagic));
@@ -166,12 +175,29 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::LoadFromFile(
   if (l == 0) {
     return Status::IOError("BFS Sharing index has zero samples: " + path);
   }
+  // Size the word block from the header only once the file is known to
+  // hold it: a corrupt L must not turn into a huge allocation.
+  const size_t words_per_edge = (static_cast<size_t>(l) + 63) / 64;
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(header_end);
+  const uint64_t remaining_words =
+      static_cast<uint64_t>(file_end - header_end) / sizeof(uint64_t);
+  if (!in.good() || header_end < 0 || file_end < header_end ||
+      (m != 0 && remaining_words / m < words_per_edge)) {
+    return Status::IOError(
+        StrFormat("truncated BFS Sharing index: L=%u and m=%llu need more "
+                  "bytes than %s holds",
+                  l, static_cast<unsigned long long>(m), path.c_str()));
+  }
   Timer timer;
   std::shared_ptr<BfsSharingIndex> index(new BfsSharingIndex());
   index->num_samples_ = l;
+  index->filled_worlds_ = l;
   index->num_edges_ = m;
-  index->words_per_edge_ = (l + 63) / 64;
-  index->words_.assign(m * index->words_per_edge_, 0);
+  index->words_per_edge_ = words_per_edge;
+  index->words_.assign(m * words_per_edge, 0);
   index->words_data_ = index->words_.data();
   index->num_words_ = index->words_.size();
   in.read(reinterpret_cast<char*>(index->words_.data()),
@@ -219,7 +245,8 @@ Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::Create(
       new BfsSharingEstimator(graph, std::move(index)));
 }
 
-Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed) {
+Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed,
+                                                uint32_t num_samples) {
   // Exclusive ownership (owned_ + the copy inside index_): refill the
   // worlds in place — bit-identical to a fresh build, zero allocation. This
   // is the steady state on the serving path, where every query re-arms. A
@@ -227,14 +254,15 @@ Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed) {
   // above 2 and falls through to one fresh build; either path yields the
   // same worlds.
   if (owned_ != nullptr && owned_.use_count() == 2) {
-    owned_->Resample(graph_, seed);
+    owned_->Resample(graph_, seed, num_samples);
     return Status::OK();
   }
   // Generation swap: replicas sharing the old generation keep reading it
   // untouched; this replica alone moves to the fresh worlds. The old
   // generation is freed when its last reader lets go.
   RELCOMP_ASSIGN_OR_RETURN(std::shared_ptr<BfsSharingIndex> fresh,
-                           BfsSharingIndex::Build(graph_, options_, seed));
+                           BfsSharingIndex::Build(graph_, options_, seed,
+                                                  num_samples));
   index_.store(std::shared_ptr<const BfsSharingIndex>(fresh),
                std::memory_order_release);
   owned_ = std::move(fresh);
@@ -252,7 +280,7 @@ BfsSharingEstimator::ShareCurrentPreparedState() const {
 }
 
 Status BfsSharingEstimator::AdoptSharedPreparedState(
-    std::shared_ptr<const PreparedGeneration> state) {
+    std::shared_ptr<const PreparedGeneration> state, uint32_t num_samples) {
   const auto* shared = dynamic_cast<const SharedBfsGeneration*>(state.get());
   if (shared == nullptr || shared->index == nullptr) {
     return Status::InvalidArgument(
@@ -262,6 +290,13 @@ Status BfsSharingEstimator::AdoptSharedPreparedState(
       shared->index->num_samples() != options_.index_samples) {
     return Status::InvalidArgument(
         "BFS Sharing: shared generation shape mismatch");
+  }
+  if (shared->index->filled_worlds() <
+      std::min(num_samples, options_.index_samples)) {
+    return Status::InvalidArgument(
+        StrFormat("BFS Sharing: shared generation fills %u worlds, %u needed",
+                  shared->index->filled_worlds(),
+                  std::min(num_samples, options_.index_samples)));
   }
   // Read-only share: this replica reads the sharer's worlds and gives up
   // in-place-resample ownership (its next inline prepare builds or swaps).
@@ -343,11 +378,13 @@ Result<std::vector<uint32_t>> BfsSharingEstimator::EstimateSweepStratumHits(
   if (num_strata == 0 || stratum >= num_strata) {
     return Status::InvalidArgument("sweep stratum: index out of range");
   }
+  const std::shared_ptr<const BfsSharingIndex> index = shared_index();
   if (options.num_samples == 0 ||
-      options.num_samples > shared_index()->num_samples()) {
+      options.num_samples > index->filled_worlds()) {
     return Status::InvalidArgument(
-        StrFormat("BFS Sharing: K=%u exceeds indexed worlds L=%u",
-                  options.num_samples, shared_index()->num_samples()));
+        StrFormat("BFS Sharing: K=%u exceeds the %u prepared worlds (L=%u)",
+                  options.num_samples, index->filled_worlds(),
+                  index->num_samples()));
   }
   // Cancellation point: one poll per world slice (the stratum boundary the
   // engine's scheduler also polls at).
@@ -367,13 +404,18 @@ Result<std::vector<uint32_t>> BfsSharingEstimator::EstimateSweepStratumHits(
 Status BfsSharingEstimator::RunSharedBfs(const BfsSharingIndex& index, NodeId s,
                                          uint32_t world_offset, uint32_t k,
                                          ScopedAllocation* working) {
-  if (k == 0 || world_offset > index.num_samples() ||
-      k > index.num_samples() - world_offset) {
+  const uint32_t filled = index.filled_worlds();
+  if (k == 0 || world_offset > filled || k > filled - world_offset) {
     return Status::InvalidArgument(
-        StrFormat("BFS Sharing: world range [%u, %u) exceeds indexed "
-                  "worlds L=%u",
-                  world_offset, world_offset + k, index.num_samples()));
+        StrFormat("BFS Sharing: world range [%u, %llu) exceeds the %u "
+                  "prepared worlds (L=%u)",
+                  world_offset,
+                  static_cast<unsigned long long>(world_offset) + k, filled,
+                  index.num_samples()));
   }
+  // Words past the fill hold stale worlds; reading the edge blocks only up
+  // to the fill makes them read as zero instead.
+  const size_t filled_words = (static_cast<size_t>(filled) + 63) / 64;
   ++epoch_;
   auto visit = [&](NodeId v) {
     visit_epoch_[v] = epoch_;
@@ -400,7 +442,7 @@ Status BfsSharingEstimator::RunSharedBfs(const BfsSharingIndex& index, NodeId s,
         if (!visited(a.neighbor)) continue;
         if (node_bits_[a.neighbor].OrWithAndWords(
                 node_bits_[w], index.edge_words(a.edge),
-                index.words_per_edge(), world_offset)) {
+                filled_words, world_offset)) {
           cascade.push_back(a.neighbor);
         }
       }
@@ -425,7 +467,7 @@ Status BfsSharingEstimator::RunSharedBfs(const BfsSharingIndex& index, NodeId s,
     for (const AdjEntry& a : graph_.InEdges(v)) {
       if (visited(a.neighbor)) {
         iv.OrWithAndWords(node_bits_[a.neighbor], index.edge_words(a.edge),
-                          index.words_per_edge(), world_offset);
+                          filled_words, world_offset);
       }
     }
     for (const AdjEntry& a : graph_.OutEdges(v)) {
@@ -435,8 +477,7 @@ Status BfsSharingEstimator::RunSharedBfs(const BfsSharingIndex& index, NodeId s,
           worklist.push_back(a.neighbor);
         }
       } else if (node_bits_[a.neighbor].OrWithAndWords(
-                     iv, index.edge_words(a.edge), index.words_per_edge(),
-                     world_offset)) {
+                     iv, index.edge_words(a.edge), filled_words, world_offset)) {
         CascadeFrom(a.neighbor);
       }
     }

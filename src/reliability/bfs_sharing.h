@@ -20,6 +20,12 @@ struct BfsSharingOptions {
 /// \brief One immutable generation of the BFS Sharing index: the L-bit edge
 /// vectors of Figure 3 (bit i = "edge exists in pre-sampled world i").
 ///
+/// World i of edge e is a function of (seed, e, i) alone: edge e's worlds
+/// are drawn from their own stream, Rng(HashCombineSeed(seed, e)). Neither L
+/// nor how many worlds a fill covers changes them, so a generation filled
+/// only over [0, K) agrees bit for bit with a full one on those worlds, and
+/// indexes with different L agree on their common prefix.
+///
 /// A generation is frozen at Build()/LoadFromFile() and never mutated, so any
 /// number of estimator replicas may read it concurrently through a
 /// `shared_ptr<const BfsSharingIndex>` — the engine builds the index once for
@@ -29,23 +35,28 @@ struct BfsSharingOptions {
 /// it.
 class BfsSharingIndex {
  public:
-  /// Samples a fresh generation: O(L m) time, O(L m) space. Deterministic in
-  /// `seed` (bit-identical worlds for equal seeds and options). The returned
-  /// handle is the only mutable reference; share it onward as
+  /// Samples a fresh generation: O(L m) space, O(K m) time for the
+  /// K = min(num_worlds, L) worlds it fills (all L by default).
+  /// Deterministic in `seed` (bit-identical worlds for equal seeds). The
+  /// returned handle is the only mutable reference; share it onward as
   /// `shared_ptr<const>`.
   static Result<std::shared_ptr<BfsSharingIndex>> Build(
       const UncertainGraph& graph, const BfsSharingOptions& options,
-      uint64_t seed);
+      uint64_t seed, uint32_t num_worlds = kPrepareAllSamples);
 
   /// Restores a generation persisted by SaveToFile (Figure 13c measures
-  /// this). The graph is needed only to validate the edge count.
+  /// this). The graph is needed only to validate the edge count. A file
+  /// shorter than its header's L and m imply fails with IOError before
+  /// anything is allocated.
   static Result<std::shared_ptr<BfsSharingIndex>> LoadFromFile(
       const UncertainGraph& graph, const std::string& path);
 
   /// Serializes this generation as a snapshot-section payload: {L u32,
   /// pad u32, m u64} then the packed words verbatim. The word block starts
   /// 16 bytes in, so inside a 64-byte-aligned snapshot section it is 8-byte
-  /// aligned for the zero-copy FromBlock path.
+  /// aligned for the zero-copy FromBlock path. Precondition: every world is
+  /// filled (filled_worlds() == num_samples()); words past a partial fill
+  /// hold stale worlds.
   void AppendBlock(std::string* out) const;
 
   /// Reconstructs a generation from an AppendBlock payload — zero-copy when
@@ -62,19 +73,27 @@ class BfsSharingIndex {
   /// than owned memory.
   bool mapped() const { return backing_ != nullptr; }
 
-  /// Refills every edge's worlds in place — bit-identical to a fresh
-  /// Build(graph, options, seed) with this generation's L, but with zero
-  /// allocation (the serving path's steady state: every query re-arms).
+  /// Refills worlds [0, K) of every edge in place, K = min(num_worlds, L) —
+  /// bit-identical to a fresh Build(graph, options, seed, num_worlds) with
+  /// this generation's L, but with zero allocation (the serving path's
+  /// steady state: every query re-arms). Only the ceil(K / 64) words that
+  /// hold those worlds are written; the bits from K to that word boundary
+  /// are zero and later words keep stale worlds that no read reaches.
   /// Caller must hold the generation exclusively: no other replica may read
   /// the bit content concurrently (size-only readers like MemoryBytes are
   /// unaffected — refilling never changes shapes).
-  void Resample(const UncertainGraph& graph, uint64_t seed);
+  void Resample(const UncertainGraph& graph, uint64_t seed,
+                uint32_t num_worlds = kPrepareAllSamples);
 
-  /// Persists the edge bit-vectors to `path`.
+  /// Persists the edge bit-vectors to `path`. FailedPrecondition unless
+  /// every world is filled.
   Status SaveToFile(const std::string& path) const;
 
   /// L, the number of worlds stored per edge.
   uint32_t num_samples() const { return num_samples_; }
+  /// Worlds [0, filled_worlds()) hold the current fill; readers refuse any
+  /// world range past it. L after Build/load and full resamples.
+  uint32_t filled_worlds() const { return filled_worlds_; }
   size_t num_edges() const { return num_edges_; }
 
   /// The edge vectors live in one dense block of `words_per_edge()` 64-bit
@@ -105,6 +124,7 @@ class BfsSharingIndex {
   BfsSharingIndex() = default;
 
   uint32_t num_samples_ = 0;
+  uint32_t filled_worlds_ = 0;
   double build_seconds_ = 0.0;
   size_t num_edges_ = 0;
   size_t words_per_edge_ = 0;
@@ -164,8 +184,10 @@ class BfsSharingEstimator : public Estimator {
   const UncertainGraph& graph() const override { return graph_; }
 
   /// Cheap per sample (offline worlds, one shared BFS over bit-vector
-  /// words), but the inter-query resample rewrites L bits per edge — the
-  /// dominant per-query term the router must price in.
+  /// words), but the inter-query resample is the dominant per-query term
+  /// the router must price in. The engine's prepare fills only the plan's
+  /// K worlds per edge; this prior still prices the full L, an upper bound
+  /// kept until the router is recalibrated for K-limited fills.
   CostHints cost_hints() const override {
     CostHints hints;
     hints.per_sample_edge_cost = 0.25;
@@ -173,7 +195,7 @@ class BfsSharingEstimator : public Estimator {
         static_cast<double>(shared_index() == nullptr
                                 ? 0
                                 : shared_index()->num_samples()) /
-        64.0;  // resample writes L bits/edge = L/64 words/edge
+        64.0;  // a full resample writes L bits/edge = L/64 words/edge
     hints.sweep_amortized = true;
     return hints;
   }
@@ -186,13 +208,17 @@ class BfsSharingEstimator : public Estimator {
     return shared_index().get();
   }
 
-  /// Re-samples all edge bit-vectors. Required between successive queries to
-  /// keep their answers independent (Table 15 measures this per-query cost).
-  /// When this replica exclusively owns its generation, the worlds are
-  /// refilled in place (zero allocation — the serving-path steady state);
-  /// otherwise a fresh generation is built and atomically swapped in,
-  /// leaving generations still referenced by other replicas untouched.
-  Status PrepareForNextQuery(uint64_t seed) override;
+  /// Re-samples worlds [0, min(num_samples, L)) of every edge. Required
+  /// between successive queries to keep their answers independent
+  /// (Table 15 measures this per-query cost); the one-argument form
+  /// resamples all L. Reads past the filled worlds fail with
+  /// InvalidArgument. When this replica exclusively owns its generation,
+  /// the worlds are refilled in place (zero allocation — the serving-path
+  /// steady state); otherwise a fresh generation is built and atomically
+  /// swapped in, leaving generations still referenced by other replicas
+  /// untouched.
+  using Estimator::PrepareForNextQuery;
+  Status PrepareForNextQuery(uint64_t seed, uint32_t num_samples) override;
 
   /// Shared-prepared-state surface: a prepared replica hands its current
   /// generation to sibling replicas as a read-only snapshot, adopted in
@@ -203,8 +229,10 @@ class BfsSharingEstimator : public Estimator {
   bool SupportsSharedPreparedState() const override { return true; }
   Result<std::shared_ptr<const PreparedGeneration>> ShareCurrentPreparedState()
       const override;
+  using Estimator::AdoptSharedPreparedState;
   Status AdoptSharedPreparedState(
-      std::shared_ptr<const PreparedGeneration> state) override;
+      std::shared_ptr<const PreparedGeneration> state,
+      uint32_t num_samples) override;
 
   /// The generation this replica currently reads (atomic snapshot).
   std::shared_ptr<const BfsSharingIndex> shared_index() const {
@@ -275,7 +303,8 @@ class BfsSharingEstimator : public Estimator {
   /// Core of Algorithms 2+3: fills node_bits_ / visit_epoch_ for all nodes
   /// reached from `source`, with cascading fix-point updates, over the world
   /// slice [world_offset, world_offset + num_samples) of the edge vectors
-  /// (0 for the whole-range sweep). Reads only `index` and this replica's
+  /// (0 for the whole-range sweep). InvalidArgument when the slice reaches
+  /// past index.filled_worlds(). Reads only `index` and this replica's
   /// private scratch.
   Status RunSharedBfs(const BfsSharingIndex& index, NodeId source,
                       uint32_t world_offset, uint32_t num_samples,

@@ -47,8 +47,9 @@ Estimator::ShareCurrentPreparedState() const {
 }
 
 Status Estimator::AdoptSharedPreparedState(
-    std::shared_ptr<const PreparedGeneration> state) {
+    std::shared_ptr<const PreparedGeneration> state, uint32_t num_samples) {
   (void)state;
+  (void)num_samples;
   return Status::NotSupported(
       StrFormat("%.*s has no shared-prepared-state support",
                 static_cast<int>(name().size()), name().data()));

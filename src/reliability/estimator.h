@@ -1,7 +1,9 @@
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -100,6 +102,12 @@ struct CostHints {
   bool sweep_amortized = false;
 };
 
+/// Budget argument of Estimator::PrepareForNextQuery /
+/// AdoptSharedPreparedState meaning "every sample the estimator can serve"
+/// (BFS Sharing: all L indexed worlds).
+inline constexpr uint32_t kPrepareAllSamples =
+    std::numeric_limits<uint32_t>::max();
+
 /// \brief Opaque, read-only snapshot of an estimator's per-query prepared
 /// state (ShareCurrentPreparedState). The concrete payload is
 /// estimator-specific; callers only move the handle between replicas.
@@ -159,10 +167,18 @@ class Estimator {
 
   /// Inter-query maintenance hook. BFS Sharing must resample its possible
   /// worlds between successive queries to keep answers independent
-  /// (Table 15); all other estimators are no-ops.
-  virtual Status PrepareForNextQuery(uint64_t seed) {
+  /// (Table 15); all other estimators are no-ops. `num_samples` is the
+  /// budget K the next query reads: BFS Sharing fills only worlds [0, K),
+  /// which are bit-identical to those a full prepare with the same seed
+  /// fills, and refuses reads past them. kPrepareAllSamples prepares for
+  /// any budget the estimator supports.
+  virtual Status PrepareForNextQuery(uint64_t seed, uint32_t num_samples) {
     (void)seed;
+    (void)num_samples;
     return Status::OK();
+  }
+  Status PrepareForNextQuery(uint64_t seed) {
+    return PrepareForNextQuery(seed, kPrepareAllSamples);
   }
 
   /// \name Shared prepared state (stratum thieves of one sweep)
@@ -183,11 +199,16 @@ class Estimator {
 
   /// Points this replica at `state` (a ShareCurrentPreparedState snapshot):
   /// bit-identical to having run PrepareForNextQuery with the sharer's
-  /// seed, in O(1). The replica yields any in-place-resample ownership
-  /// until its next inline prepare (shared generations are never mutated
-  /// under a reader). Serving-thread only. Default: NotSupported.
+  /// seed, in O(1). Refuses (InvalidArgument) a state prepared for fewer
+  /// than `num_samples` samples. The replica yields any in-place-resample
+  /// ownership until its next inline prepare (shared generations are never
+  /// mutated under a reader). Serving-thread only. Default: NotSupported.
   virtual Status AdoptSharedPreparedState(
-      std::shared_ptr<const PreparedGeneration> state);
+      std::shared_ptr<const PreparedGeneration> state, uint32_t num_samples);
+  Status AdoptSharedPreparedState(
+      std::shared_ptr<const PreparedGeneration> state) {
+    return AdoptSharedPreparedState(std::move(state), kPrepareAllSamples);
+  }
 
   /// @}
 

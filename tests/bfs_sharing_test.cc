@@ -1,6 +1,8 @@
 #include "reliability/bfs_sharing.h"
 
 #include <filesystem>
+#include <fstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -246,6 +248,161 @@ TEST(BfsSharing, StatisticallyMatchesMonteCarlo) {
     sum += est->Estimate({0, 11}, opts)->reliability;
   }
   EXPECT_NEAR(sum / kRuns, exact, SamplingTolerance(exact, 2000 * kRuns, 4.5));
+}
+
+/// Worlds [0, k) of edge e in `index`, as bits.
+std::vector<bool> EdgeWorlds(const BfsSharingIndex& index, EdgeId e,
+                             uint32_t k) {
+  std::vector<bool> worlds(k);
+  const uint64_t* words = index.edge_words(e);
+  for (uint32_t i = 0; i < k; ++i) worlds[i] = (words[i / 64] >> (i % 64)) & 1;
+  return worlds;
+}
+
+TEST(BfsSharing, PartialResampleAgreesWithFullOnItsWorlds) {
+  // Per-edge streams: world i of edge e depends only on (seed, e, i), so a
+  // fill of [0, K) reproduces the full fill's first K worlds, and the bits
+  // from K to the word boundary stay zero.
+  const UncertainGraph g = RandomSmallGraph(30, 120, 0.001, 0.9, 45);
+  BfsSharingOptions options;
+  options.index_samples = 1500;
+  auto full = BfsSharingIndex::Build(g, options, 77).MoveValue();
+  auto part = BfsSharingIndex::Build(g, options, 1).MoveValue();
+  for (const uint32_t k : {1u, 63u, 64u, 65u, 1000u}) {
+    SCOPED_TRACE(k);
+    part->Resample(g, 77, k);
+    EXPECT_EQ(part->filled_worlds(), k);
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      ASSERT_EQ(EdgeWorlds(*part, e, k), EdgeWorlds(*full, e, k)) << e;
+      const uint64_t* words = part->edge_words(e);
+      if (k % 64 != 0) {
+        EXPECT_EQ(words[k / 64] >> (k % 64), 0u) << "tail of edge " << e;
+      }
+    }
+  }
+  part->Resample(g, 77);
+  EXPECT_EQ(part->filled_worlds(), 1500u);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_EQ(EdgeWorlds(*part, e, 1500), EdgeWorlds(*full, e, 1500)) << e;
+  }
+}
+
+TEST(BfsSharing, IndexesWithDifferentLAgreeOnCommonWorlds) {
+  const UncertainGraph g = RandomSmallGraph(30, 120, 0.01, 0.9, 46);
+  BfsSharingOptions small;
+  small.index_samples = 1000;
+  BfsSharingOptions large;
+  large.index_samples = 1500;
+  auto a = BfsSharingIndex::Build(g, small, 5).MoveValue();
+  auto b = BfsSharingIndex::Build(g, large, 5).MoveValue();
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_EQ(EdgeWorlds(*a, e, 1000), EdgeWorlds(*b, e, 1000)) << e;
+  }
+}
+
+TEST(BfsSharing, ReadsPastPreparedWorldsAreRefused) {
+  const UncertainGraph g = RandomSmallGraph(20, 60, 0.2, 0.8, 47);
+  auto est = Make(g, 1500);
+  ASSERT_TRUE(est->PrepareForNextQuery(123, 100).ok());
+  EXPECT_EQ(est->shared_index()->filled_worlds(), 100u);
+  EstimateOptions opts;
+  opts.num_samples = 100;
+  EXPECT_TRUE(est->Estimate({0, 10}, opts).ok());
+  EXPECT_TRUE(est->EstimateSweepStratumHits(0, 3, 4, opts).ok());
+  opts.num_samples = 101;
+  EXPECT_EQ(est->Estimate({0, 10}, opts).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(est->EstimateSweepStratumHits(0, 3, 4, opts).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(est->ReliabilityFromSource(0, 101).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(est->SourceHitCountsInWorldRange(0, 50, 51).status().code(),
+            StatusCode::kInvalidArgument);
+  // A partial generation is not a whole index: it neither saves nor is
+  // adopted by a reader that needs more worlds than it holds.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "relcomp_bfs_partial.bin")
+          .string();
+  EXPECT_EQ(est->SaveToFile(path).code(), StatusCode::kFailedPrecondition);
+  auto thief = Make(g, 1500, 9);
+  std::shared_ptr<const PreparedGeneration> state =
+      est->ShareCurrentPreparedState().MoveValue();
+  EXPECT_EQ(thief->AdoptSharedPreparedState(state, 101).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(thief->AdoptSharedPreparedState(state).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(thief->AdoptSharedPreparedState(state, 100).ok());
+  opts.num_samples = 100;
+  EXPECT_EQ(thief->Estimate({0, 10}, opts)->reliability,
+            est->Estimate({0, 10}, opts)->reliability);
+  // The one-argument prepare fills every world again.
+  ASSERT_TRUE(est->PrepareForNextQuery(123).ok());
+  EXPECT_EQ(est->shared_index()->filled_worlds(), 1500u);
+  opts.num_samples = 1500;
+  EXPECT_TRUE(est->Estimate({0, 10}, opts).ok());
+}
+
+TEST(BfsSharing, BudgetPrepareMatchesFullPrepareOnItsWorlds) {
+  // What the engine relies on: a replica prepared for K answers exactly
+  // like one prepared over all L worlds with the same seed, for s-t
+  // estimates and every stratum of a sweep.
+  const UncertainGraph g = RandomSmallGraph(40, 160, 0.05, 0.7, 48);
+  auto partial = Make(g, 1500, 3);
+  auto full = Make(g, 1500, 4);
+  for (const uint32_t k : {1u, 64u, 333u, 1000u}) {
+    SCOPED_TRACE(k);
+    ASSERT_TRUE(partial->PrepareForNextQuery(900 + k, k).ok());
+    ASSERT_TRUE(full->PrepareForNextQuery(900 + k).ok());
+    EstimateOptions opts;
+    opts.num_samples = k;
+    for (NodeId t = 1; t < 10; ++t) {
+      EXPECT_EQ(partial->Estimate({0, t}, opts)->reliability,
+                full->Estimate({0, t}, opts)->reliability)
+          << t;
+    }
+    for (uint32_t stratum = 0; stratum < 4; ++stratum) {
+      EXPECT_EQ(*partial->EstimateSweepStratumHits(0, stratum, 4, opts),
+                *full->EstimateSweepStratumHits(0, stratum, 4, opts));
+    }
+  }
+}
+
+TEST(BfsSharing, LoadRejectsHeaderLargerThanFile) {
+  // A 20-byte file whose header claims L = 2^32 - 1 must fail with IOError
+  // before the ~m * 2^26-word block is allocated.
+  const UncertainGraph g = RandomSmallGraph(15, 45, 0.2, 0.8, 49);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "relcomp_bfs_oversized.bin")
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const char magic[8] = {'R', 'E', 'L', 'B', 'F', 'S', 'I', 'X'};
+    const uint64_t m = g.num_edges();
+    const uint32_t l = 0xFFFFFFFFu;
+    out.write(magic, sizeof(magic));
+    out.write(reinterpret_cast<const char*>(&m), sizeof(m));
+    out.write(reinterpret_cast<const char*>(&l), sizeof(l));
+  }
+  ASSERT_EQ(std::filesystem::file_size(path), 20u);
+  const auto loaded = BfsSharingIndex::LoadFromFile(g, path);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  // One word short of a valid L = 100 index fails the same way.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const char magic[8] = {'R', 'E', 'L', 'B', 'F', 'S', 'I', 'X'};
+    const uint64_t m = g.num_edges();
+    const uint32_t l = 100;
+    out.write(magic, sizeof(magic));
+    out.write(reinterpret_cast<const char*>(&m), sizeof(m));
+    out.write(reinterpret_cast<const char*>(&l), sizeof(l));
+    const std::vector<uint64_t> words(m * 2 - 1, 0);
+    out.write(reinterpret_cast<const char*>(words.data()),
+              static_cast<std::streamsize>(words.size() * sizeof(uint64_t)));
+  }
+  EXPECT_EQ(BfsSharingIndex::LoadFromFile(g, path).status().code(),
+            StatusCode::kIOError);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

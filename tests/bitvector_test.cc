@@ -1,5 +1,7 @@
 #include "common/bitvector.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -281,6 +283,27 @@ TEST(BitVector, FillBernoulliWordsMatchesMemberFill) {
       BitVector::FillBernoulliWords(words.data(), len, p, rng_b);
       EXPECT_EQ(words, bv.words()) << p << "/" << len;
       EXPECT_EQ(rng_a.NextU64(), rng_b.NextU64()) << "stream diverged";
+    }
+  }
+}
+
+TEST(BitVector, FillBernoulliWordsMatchesGeometricReference) {
+  // The sparse path computes log1p(-p) once per call; its bits and its RNG
+  // draws must equal a plain loop over Rng::Geometric.
+  for (const double p : {1e-4, 1e-3, 0.01, 0.1, 0.2499}) {
+    for (const size_t len : {1u, 65u, 1500u, 200003u}) {
+      Rng rng_ref(4242);
+      Rng rng_fill(4242);
+      std::vector<uint64_t> expected((len + 63) / 64, 0);
+      for (size_t i = rng_ref.Geometric(p); i < len;
+           i += 1 + rng_ref.Geometric(p)) {
+        expected[i / 64] |= uint64_t{1} << (i % 64);
+      }
+      std::vector<uint64_t> words((len + 63) / 64, ~uint64_t{0});
+      BitVector::FillBernoulliWords(words.data(), len, p, rng_fill);
+      EXPECT_EQ(words, expected) << p << "/" << len;
+      EXPECT_EQ(rng_ref.NextU64(), rng_fill.NextU64())
+          << "stream diverged at p=" << p << " len=" << len;
     }
   }
 }

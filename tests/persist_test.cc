@@ -429,6 +429,38 @@ TEST(PersistRestart, RestoredEngineBitIdenticalToFreshBuild) {
   }
 }
 
+TEST(PersistRestart, SnapshotAfterServingHoldsIndexSeedGeneration) {
+  // Serving resamples replica 0's worlds per query (only [0, K) of them);
+  // a snapshot published afterwards must still carry the index_seed
+  // generation its manifest names.
+  ScratchDir dir("relcomp_persist_index_seed");
+  const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 12);
+  EngineOptions options = PersistEngineOptions(dir.path(), 1);
+  options.factory.bfs_sharing.index_samples = 200;
+  options.num_samples = 70;
+  Result<std::unique_ptr<QueryEngine>> engine =
+      QueryEngine::Create(graph, options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  Result<std::vector<EngineResult>> served =
+      engine.value()->RunBatch(MixedWorkload());
+  ASSERT_TRUE(served.ok()) << served.status();
+  ASSERT_TRUE(engine.value()->PersistSnapshot().ok());
+
+  std::string expected;
+  BfsSharingIndex::Build(graph, options.factory.bfs_sharing,
+                         options.factory.index_seed)
+      .MoveValue()
+      ->AppendBlock(&expected);
+  Result<std::unique_ptr<SnapshotReader>> reader =
+      SnapshotReader::Open(engine.value()->persist_store()->snapshot_path());
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const SnapshotReader::Section* block = reader.value()->Find(kSectionBfsIndex);
+  ASSERT_NE(block, nullptr);
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(block->data),
+                        block->size),
+            expected);
+}
+
 TEST(PersistRestart, WarmRestoreServesFirstQueryFromCache) {
   ScratchDir dir("relcomp_persist_warm");
   const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);

@@ -139,6 +139,57 @@ TEST(QueryEngineTest, SharedIndexRepliesMatchIndependentPerReplicaBuilds) {
   }
 }
 
+TEST(QueryEngineTest, BudgetLimitedPrepareMatchesFullyPreparedReplica) {
+  // The engine prepares only the plan's K of the L indexed worlds; a bare
+  // replica prepared over all L with the one-argument form must reproduce
+  // every answer bitwise — s-t estimates and stratified top-k and
+  // reliable-set sweeps alike, at any thread count.
+  const UncertainGraph graph = RandomSmallGraph(30, 100, 0.05, 0.9, 59);
+  std::vector<EngineQuery> queries;
+  for (NodeId s = 0; s < 10; ++s) {
+    queries.push_back(EngineQuery(ReliabilityQuery{s, (s + 7) % 30}));
+    queries.push_back(EngineQuery::TopK(s, 5));
+    queries.push_back(EngineQuery::ReliableSet(s, 0.2));
+  }
+  for (const size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    EngineOptions options = BaseOptions(threads, EstimatorKind::kBfsSharing,
+                                        /*cache=*/false);
+    options.num_samples = 1000;
+    options.num_strata = 4;
+    auto engine = QueryEngine::Create(graph, options).MoveValue();
+    const std::vector<EngineResult> results =
+        engine->RunBatch(queries).MoveValue();
+    auto bare = MakeEstimator(EstimatorKind::kBfsSharing, graph,
+                              engine->options().factory)
+                    .MoveValue();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE(i);
+      ASSERT_TRUE(results[i].ok()) << results[i].status;
+      const QueryPlan plan = engine->PlanFor(queries[i]);
+      ASSERT_LT(plan.num_samples, options.factory.bfs_sharing.index_samples);
+      ASSERT_TRUE(bare->PrepareForNextQuery(engine->PrepareSeed(queries[i])).ok());
+      EstimateOptions opts;
+      opts.num_samples = plan.num_samples;
+      opts.num_strata = plan.num_strata;
+      opts.seed = engine->QuerySeed(queries[i]);
+      const WorkloadResult expected =
+          DispatchWorkload(*bare, queries[i], opts).MoveValue();
+      EXPECT_EQ(std::memcmp(&results[i].reliability, &expected.reliability,
+                            sizeof(double)),
+                0);
+      ASSERT_EQ(results[i].targets.size(), expected.targets.size());
+      for (size_t j = 0; j < expected.targets.size(); ++j) {
+        EXPECT_EQ(results[i].targets[j].node, expected.targets[j].node);
+        EXPECT_EQ(std::memcmp(&results[i].targets[j].reliability,
+                              &expected.targets[j].reliability,
+                              sizeof(double)),
+                  0);
+      }
+    }
+  }
+}
+
 TEST(QueryEngineTest, SharedIndexIsReportedOnceAcrossReplicas) {
   const UncertainGraph graph = RandomSmallGraph(30, 90, 0.2, 0.8, 58);
   for (const EstimatorKind kind :
